@@ -303,19 +303,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_token(key: str, value) -> str:
+    if isinstance(value, list):
+        value = ",".join(str(v) for v in value)
+    return f"--{key.replace('_', '-')}={value}"
+
+
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  Entries of a --config JSON file are handed to the same
+    parser as flags placed before argv's own, so they are converted and
+    validated exactly like flags, and an explicit flag wins."""
     args = ap.parse_args(argv)
-    if args.config:
-        overrides = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            raise ParseError(f"config file: {err}") from err
-        for key, value in config.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in overrides:
-                setattr(args, attr, value)
-    return args
+    if not args.config:
+        return args
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise ParseError(f"config file: {err}") from err
+    if not isinstance(config, dict):
+        raise ParseError("config file: expected a JSON object")
+    at = argv.index(args.command) + 1
+    tokens = [_config_token(key, value) for key, value in config.items()]
+    return ap.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,42 +11,23 @@ Three independent routes live here:
 from __future__ import annotations
 
 import math
-import os
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .branch import branch_counts
 from .errors import CompositionError, ResourceError
-from .plmap import Interval, PLMap, UNIT, as_rat, intervals_cover, iterate, merge_intervals
+from .plmap import Interval, as_rat, iterate
 from .relation import (
+    VER,
     PLRelation,
     fiber_intervals,
-    image_of_interval,
     param_graph,
     rel_power,
     strongly_commutes,
 )
-
-def worker_count() -> int:
-    """Worker count from PLENT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("PLENT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Apply fn preserving input order; results are identical for any
-    worker count, so parallel runs produce identical artifacts."""
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +73,6 @@ def enumerate_orbits(
     succ_cache: dict[Fraction, list[Fraction]] = {}
 
     def successors(x: Fraction) -> list[Fraction]:
-        # benign concurrent recomputation: values are deterministic
         if x not in succ_cache:
             succ_cache[x] = _successors(rel, x, grid)
         return succ_cache[x]
@@ -113,8 +93,8 @@ def enumerate_orbits(
         return frontier
 
     orbits: list[tuple[Fraction, ...]] = []
-    for chunk in parallel_map(expand, starts):
-        orbits.extend(chunk)
+    for start in starts:
+        orbits.extend(expand(start))
         if len(orbits) > cap_orbits:
             raise ResourceError(
                 f"orbit count exceeds cap {cap_orbits}",
@@ -274,42 +254,107 @@ class HorseshoeCert:
         return math.log(self.n)
 
 
-def _covers_all(merged: list[Interval], targets: list[Interval]) -> bool:
-    """merged: disjoint sorted intervals; targets: sorted.  Exact check that
-    every target lies inside some merged component."""
-    j = 0
-    for tgt in targets:
-        while j < len(merged) and merged[j].hi < tgt.hi:
+def _on_lattice(v: Fraction, d: int) -> int:
+    return v.numerator * (d // v.denominator)
+
+
+def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]:
+    """Exact values at the increasing points (all inside [xs[0], xs[-1]]) of
+    the PL map through (xs[i], ys[i]); the lattice makes each an integer."""
+    out = []
+    j = 1
+    for x in points:
+        while xs[j] < x:
             j += 1
-        if j == len(merged) or merged[j].lo > tgt.lo:
-            return False
-    return True
+        x0, y0 = xs[j - 1], ys[j - 1]
+        q, r = divmod((ys[j] - y0) * (x - x0), xs[j] - x0)
+        if r:
+            raise AssertionError("horseshoe lattice misses an image endpoint")
+        out.append(y0 + q)
+    return out
+
+
+def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> int:
+    """One denominator D for the whole check: a multiple of every interval
+    endpoint's and breakpoint's denominator and of den(slope) * Dx for every
+    arc segment, where Dx is the lcm of the x-denominators.  So the value of
+    a segment at any x-lattice point, y0 + slope * (a - x0), is on 1/D."""
+    xden = {v.denominator for iv in ivs for v in (iv.lo, iv.hi)}
+    yden = set()
+    slope_den = set()
+    for arc in rel.arcs:
+        if arc.kind == VER:
+            xden.add(arc.x.denominator)
+            yden.update((arc.ys.lo.denominator, arc.ys.hi.denominator))
+            continue
+        for x, y in arc.homeo.breakpoints:
+            xden.add(x.denominator)
+            yden.add(y.denominator)
+        slope_den.update(slope.denominator for *_, slope in arc.homeo.segments())
+    return math.lcm(math.lcm(*xden) * math.lcm(*slope_den), *yden)
 
 
 def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     """Exact check: intervals pairwise disjoint and nondegenerate, and every
-    interval's image under the relation covers their union."""
+    interval's image under the relation covers their union.
+
+    The check runs in integer arithmetic on one lattice 1/D (see
+    `_lattice`) on which every endpoint involved lies exactly.
+    """
     ivs = sorted(intervals, key=lambda iv: iv.lo)
     if len(ivs) < 2 or any(iv.is_point() for iv in ivs):
         return False
     for a, b in zip(ivs, ivs[1:]):
         if a.hi >= b.lo:
             return False
+    d = _lattice(rel, ivs)
+    los = [_on_lattice(iv.lo, d) for iv in ivs]
+    his = [_on_lattice(iv.hi, d) for iv in ivs]
+    n = len(ivs)
     # bucket each arc's image by the source intervals its domain meets;
     # one pass over the arcs instead of one per source interval
-    los = [iv.lo for iv in ivs]
-    images: list[list[Interval]] = [[] for _ in ivs]
+    images: list[list[tuple[int, int]]] = [[] for _ in ivs]
     for arc in rel.arcs:
-        dom = arc.dom
-        i = bisect_right(los, dom.lo) - 1
-        if i < 0:
-            i = 0
-        while i < len(ivs) and ivs[i].lo <= dom.hi:
-            img = arc.image(ivs[i])
-            if img is not None:
-                images[i].append(img)
-            i += 1
-    return all(_covers_all(merge_intervals(imgs), ivs) for imgs in images)
+        if arc.kind == VER:
+            x = _on_lattice(arc.x, d)
+            i = bisect_right(los, x) - 1
+            if i >= 0 and x <= his[i]:
+                images[i].append((_on_lattice(arc.ys.lo, d), _on_lattice(arc.ys.hi, d)))
+            continue
+        bps = arc.homeo.breakpoints
+        xs = [_on_lattice(x, d) for x, _ in bps]
+        ys = [_on_lattice(y, d) for _, y in bps]
+        a, b = xs[0], xs[-1]
+        # the sources meeting [a, b] are i..j-1; sweep the arc once over
+        # their endpoints, clipped to [a, b]
+        i = bisect_left(his, a)
+        j = bisect_right(los, b)
+        if i == j:
+            continue
+        ends = [v for k in range(i, j) for v in (los[k], his[k])]
+        ends[0] = max(ends[0], a)
+        ends[-1] = min(ends[-1], b)
+        vals = _lattice_sweep(xs, ys, ends)
+        for k, ya, yb in zip(range(i, j), vals[::2], vals[1::2]):
+            images[k].append((ya, yb) if ya <= yb else (yb, ya))
+    # every target lies in at most one merged component, so the targets
+    # are covered iff the per-component counts of targets inside sum to n
+    for imgs in images:
+        if not imgs:
+            return False
+        imgs.sort()
+        covered = 0
+        lo, hi = imgs[0]
+        for ylo, yhi in imgs:
+            if ylo > hi:
+                covered += max(0, bisect_right(his, hi) - bisect_left(los, lo))
+                lo, hi = ylo, yhi
+            elif yhi > hi:
+                hi = yhi
+        covered += max(0, bisect_right(his, hi) - bisect_left(los, lo))
+        if covered != n:
+            return False
+    return True
 
 
 def _subdivision_patterns(j: Interval, n: int):
@@ -343,7 +388,10 @@ def _subdivision_patterns(j: Interval, n: int):
                 )
 
 
-def _base_intervals(rel: PLRelation) -> list[Interval]:
+def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
+    """Base intervals for the pattern search, longest first: the hull of the
+    structural points, then every other pair of them (at most 42 points).
+    The pairs are only built if the search gets past the hull."""
     points = set()
     for arc in rel.arcs:
         points.add(arc.dom.lo)
@@ -351,14 +399,12 @@ def _base_intervals(rel: PLRelation) -> list[Interval]:
         if arc.kind != "ver":
             points.update(x for x, _ in arc.homeo.breakpoints)
     pts = sorted(points)
-    bases = [Interval(pts[0], pts[-1])]
+    hull = Interval(pts[0], pts[-1])
+    yield hull
     if len(pts) <= 42:
-        for a, b in combinations(pts, 2):
-            iv = Interval(a, b)
-            if not iv.is_point() and iv not in bases:
-                bases.append(iv)
-    bases.sort(key=lambda iv: -iv.length)
-    return bases
+        pairs = [Interval(a, b) for a, b in combinations(pts, 2)]
+        pairs.sort(key=lambda iv: -iv.length)
+        yield from (iv for iv in pairs if iv != hull)
 
 
 def find_horseshoe(rel: PLRelation, n: int) -> Optional[HorseshoeCert]:

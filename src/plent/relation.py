@@ -30,6 +30,7 @@ from .plmap import (
     PLMap,
     RatLike,
     UNIT,
+    _merge_collinear,
     as_rat,
     compose,
     map_equals,
@@ -230,27 +231,54 @@ def inverse_rel(rel: PLRelation) -> PLRelation:
     return PLRelation([arc.inverse() for arc in rel.arcs])
 
 
+def _values_at(m: PLMap, ts: Sequence[Fraction]) -> list[Fraction]:
+    """m(t) for every t of the increasing sequence ts, in one sweep."""
+    pts = m.breakpoints
+    out = []
+    j = 0
+    for t in ts:
+        while pts[j + 1][0] < t:
+            j += 1
+        (x0, y0), (x1, y1) = pts[j], pts[j + 1]
+        out.append(y0 if t == x0 else y1 if t == x1 else y0 + (y1 - y0) * (t - x0) / (x1 - x0))
+    return out
+
+
 def param_graph(f: PLMap, g: PLMap) -> PLRelation:
     """The parameterized curve {(f(t), g(t)) : t in dom}.
 
     This equals the graph of g o f^{-1} as a point set whenever f is onto
-    its range; the arcs come out already split into monotone pieces.
+    its range; the arcs come out already split into monotone pieces.  Both
+    maps are evaluated once at the union of their breakpoints, and each
+    piece between joint lap boundaries becomes one arc through those
+    points.
     """
     if f.domain != g.domain:
         raise CompositionError("parameterized graph needs maps with equal domains")
-    cuts = sorted(set(f.lap_boundaries()) | set(g.lap_boundaries()))
+    ts = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+    xs, ys = _values_at(f, ts), _values_at(g, ts)
+    cuts = set(f.lap_boundaries()) | set(g.lap_boundaries())
     arcs: list[MonotoneArc] = []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        fp = f.restrict(t0, t1)
-        gp = g.restrict(t0, t1)
-        if fp.is_constant():
-            x0 = fp(t0)
-            if gp.is_constant():
-                _warn_point(x0, gp(t0), "a joint plateau in param_graph")
-                continue
-            arcs.append(MonotoneArc.vertical(x0, gp.range))
+    start = 0
+    for end in range(1, len(ts)):
+        if ts[end] not in cuts:
+            continue
+        x0, x1, y0, y1 = xs[start], xs[end], ys[start], ys[end]
+        if x0 == x1:
+            if y0 == y1:
+                _warn_point(x0, y0, "a joint plateau in param_graph")
+            else:
+                arcs.append(MonotoneArc.vertical(x0, Interval(min(y0, y1), max(y0, y1))))
         else:
-            arcs.append(MonotoneArc.from_map(compose(gp, fp.inverse())))
+            # f is strictly monotone on the piece and g monotone, so the
+            # points are a valid map once ordered by x
+            pts = list(zip(xs[start : end + 1], ys[start : end + 1]))
+            if x1 < x0:
+                pts.reverse()
+            kind = HOR if y0 == y1 else INC if (x1 > x0) == (y1 > y0) else DEC
+            homeo = PLMap._from_canonical(tuple(_merge_collinear(pts)))
+            arcs.append(MonotoneArc._trusted(kind, homeo))
+        start = end
     return PLRelation(arcs)
 
 

@@ -125,22 +125,28 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 3  # header + k=1,2: the explicit flag wins
 
 
+@pytest.mark.parametrize("eps", ["1/8,1/16", ["1/8", "1/16"]])
+def test_config_values_go_through_the_flag_parser(tmp_path, eps):
+    args = ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--nmax", "2", "--grid", "1/16"]
+    assert main([*args, "--eps", "1/8,1/16", "--out", str(tmp_path / "flags")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": eps}))
+    out = tmp_path / "config"
+    assert main([*args, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "entropy_rel.csv").read_text() == (tmp_path / "flags" / "entropy_rel.csv").read_text()
+
+
+@pytest.mark.parametrize("config", [{"kmax": "two"}, {"no_such_option": 1}])
+def test_bad_config_values_are_rejected_like_bad_flags(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["branches", "--n", "3", "--m", "2", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_failures_produce_report_and_exit_two(tmp_path):
     code = run(tmp_path, "entropy-map", "--f", "mystery:9")
     assert code == 2
     payload = read_json(tmp_path, "failure.json")
     assert "error" in payload
-
-
-def test_thread_count_does_not_change_artifacts(tmp_path, monkeypatch):
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("PLENT_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        assert main([
-            "entropy-rel", "--f", "tent:2", "--g", "tent:3",
-            "--nmax", "2", "--grid", "1/16", "--eps", "1/8",
-            "--out", str(out),
-        ]) == 0
-        outs.append((out / "entropy_rel.csv").read_text())
-    assert outs[0] == outs[1]

@@ -3,12 +3,13 @@ compositions, and strong commutation."""
 
 import warnings
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plent.errors import CompositionError, UnsupportedRelationError
-from plent.plmap import Interval, UNIT, constant_map, iterate
+from plent.plmap import Interval, PLMap, UNIT, compose, constant_map, iterate
 from plent.relation import (
     IsolatedPointWarning,
     MonotoneArc,
@@ -30,7 +31,7 @@ from plent.relation import (
     strong_commutation_relations,
     strongly_commutes,
 )
-from plent.families import plateau_map, tent
+from plent.families import affine, fold_partner, plateau_map, shifted_fold, tent
 
 
 def tent_inv_comp(n, m):
@@ -152,6 +153,57 @@ def test_param_graph_equals_composed_graph():
     direct = param_graph(f, g)
     composed = compose_rel(graph_of(g), inverse_rel(graph_of(f)))
     assert rel_equals(direct, composed)
+
+
+def reference_param_graph(f, g):
+    """param_graph as it was built piece by piece with restrict, inverse and
+    compose, kept as its oracle: the arc keys and the dropped points."""
+    cuts = sorted(set(f.lap_boundaries()) | set(g.lap_boundaries()))
+    arcs, points = [], []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        fp, gp = f.restrict(t0, t1), g.restrict(t0, t1)
+        if fp.is_constant():
+            if gp.is_constant():
+                points.append(f"({fp(t0)}, {gp(t0)})")
+                continue
+            arcs.append(MonotoneArc.vertical(fp(t0), gp.range))
+        else:
+            arcs.append(MonotoneArc.from_map(compose(gp, fp.inverse())))
+    return [arc.key() for arc in PLRelation(arcs).arcs], points
+
+
+PARAM_MAPS = [iterate(tent(n), k) for n in (2, 3, 5) for k in (1, 2, 3)] + [
+    shifted_fold(3),
+    shifted_fold(5),
+    fold_partner(5),
+    plateau_map(),
+    affine(0, 1),
+    affine(1, 0),
+    affine(F(1, 3), F(2, 3)),
+]
+
+
+def test_param_graph_matches_the_piecewise_construction():
+    for f, g in product(PARAM_MAPS, PARAM_MAPS):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            keys = [arc.key() for arc in param_graph(f, g).arcs]
+        points = [
+            str(w.message).split(" produced")[0].removeprefix("dropping isolated point ")
+            for w in caught
+            if issubclass(w.category, IsolatedPointWarning)
+        ]
+        assert (keys, points) == reference_param_graph(f, g)
+
+
+def test_param_graph_drops_the_joint_plateau_point():
+    with pytest.warns(IsolatedPointWarning, match=r"\(1/2, 1/2\) produced by a joint plateau"):
+        param_graph(plateau_map(), plateau_map())
+
+
+def test_param_graph_rejects_unequal_domains():
+    with pytest.raises(CompositionError):
+        param_graph(PLMap([(0, 0), (F(1, 2), 1)]), tent(2))
 
 
 def test_param_graph_power_oracle():
