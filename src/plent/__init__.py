@@ -21,7 +21,7 @@ from .relation import (
     commutes,
     compose_rel,
     diagonal,
-    evaluate_at,
+    fiber_intervals,
     graph_of,
     inverse_rel,
     param_graph,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .branch import branch_counts
@@ -28,7 +27,7 @@ def appendix_system(n_seq: Sequence[int], s: RatLike) -> DiagonalSystem:
     """The diagonal system with bonding f_i and diagonal g_i from the
     block-assembled pairs; valid to depth len(n_seq)."""
     pairs = [appendix_pair(k, n_seq, s, _check=False) for k in range(1, len(n_seq) + 1)]
-    return DiagonalSystem.from_pairs(pairs)
+    return DiagonalSystem(pairs)
 
 
 def unit_copy(f: PLMap, block: Interval) -> PLMap:

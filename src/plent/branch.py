@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidFamilyError, ResourceError, UnsupportedRelationError
-from .plmap import Interval, PLMap, UNIT, compose
-from .relation import INC, DEC, MonotoneArc, PLRelation, param_graph
+from .errors import InvalidFamilyError, ResourceError
+from .plmap import Interval, PLMap, UNIT
+from .relation import INC, DEC, MonotoneArc, PLRelation, _compose_strict, param_graph
 
 
 @dataclass(frozen=True)
@@ -135,28 +135,7 @@ def chain(a: Branch, b: Branch, provenance=None) -> Optional[Branch]:
     z = a.ran.intersect(b.dom)
     if z is None or z.is_point():
         return None
-    ha, hb = a.arc.homeo, b.arc.homeo
-    if len(ha.breakpoints) == 2 and len(hb.breakpoints) == 2:
-        # affine-through-affine chains reduce to pure rational arithmetic,
-        # which dominates the runtime of large tent-map families
-        (xa0, ya0), (xa1, ya1) = ha.breakpoints
-        slope_a = (ya1 - ya0) / (xa1 - xa0)
-        u = xa0 + (z.lo - ya0) / slope_a
-        v = xa0 + (z.hi - ya0) / slope_a
-        lo, hi = (u, v) if u <= v else (v, u)
-        (xb0, yb0), (xb1, yb1) = hb.breakpoints
-        slope_b = (yb1 - yb0) / (xb1 - xb0)
-        za, zb = (z.lo, z.hi) if slope_a > 0 else (z.hi, z.lo)
-        homeo = PLMap(
-            [(lo, yb0 + slope_b * (za - xb0)), (hi, yb0 + slope_b * (zb - xb0))]
-        )
-        return Branch(MonotoneArc.from_map(homeo), provenance)
-    inv = a.arc.homeo.inverse()
-    xa, xb = inv(z.lo), inv(z.hi)
-    lo, hi = min(xa, xb), max(xa, xb)
-    piece_a = a.arc.homeo.restrict(lo, hi)
-    homeo = compose(b.arc.homeo.restrict(z.lo, z.hi), piece_a)
-    return Branch(MonotoneArc.from_map(homeo), provenance)
+    return Branch(_compose_strict(a.arc.homeo, b.arc.homeo, z), provenance)
 
 
 def _scaled(q: Fraction, den: int) -> int:

@@ -30,6 +30,7 @@ from .families import parse_family
 from .invlim import DiagonalSystem, check_diagonal_compat, entropy_estimate_diagonal
 from .plmap import entropy_lap_growth
 from .relation import (
+    PLRelation,
     compose_rel,
     graph_of,
     inverse_rel,
@@ -51,7 +52,7 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-def _build_relation(args) -> "PLRelation":
+def _build_relation(args) -> PLRelation:
     f = parse_family(args.f)
     if args.mode == "graph":
         rel = graph_of(f)

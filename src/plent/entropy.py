@@ -107,6 +107,10 @@ def enumerate_orbits(
 # separated / spanning counts
 
 
+# largest closeness-graph component whose independent set is searched exactly
+_EXACT_COMPONENT = 24
+
+
 def _orbit_separated(a: Sequence[Fraction], b: Sequence[Fraction], eps: Fraction) -> bool:
     return any(abs(x - y) > eps for x, y in zip(a, b))
 
@@ -131,12 +135,11 @@ def separated_count(
     points: Sequence[Sequence[Fraction]],
     eps: Fraction,
     separated=_orbit_separated,
-    component_cap: int = 24,
 ) -> int:
     """Largest number of pairwise eps-separated points.
 
     Exact (max independent set of the closeness graph) on every connected
-    component of at most `component_cap` points; larger components fall
+    component of at most `_EXACT_COMPONENT` points; larger components fall
     back to a greedy packing, which still yields a valid lower bound.
     """
     eps = as_rat(eps)
@@ -161,7 +164,7 @@ def separated_count(
                     seen.add(w)
                     comp.append(w)
                     queue.append(w)
-        if len(comp) <= component_cap:
+        if len(comp) <= _EXACT_COMPONENT:
             total += _max_independent(comp, adj)
         else:
             chosen: list[int] = []

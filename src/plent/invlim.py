@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CompositionError, DepthExhaustedError, LiftingError
 from .plmap import PLMap, as_rat, compose, map_equals
@@ -35,26 +35,34 @@ class TruncatedPoint:
 
 
 class DiagonalSystem:
-    """Bonding maps f_i and diagonal maps g_i, both indexed from 1."""
+    """Bonding maps f_i and diagonal maps g_i, both indexed from 1, as
+    finite data: pairs[i-1] = (f_i, g_i), and the last pair repeats."""
 
-    def __init__(
-        self,
-        bonding: Callable[[int], PLMap],
-        diagonal_maps: Callable[[int], PLMap],
-        shift_like: bool = False,
-    ):
-        self.bonding = bonding
-        self.diagonal_maps = diagonal_maps
+    def __init__(self, pairs: Sequence[tuple[PLMap, PLMap]], shift_like: bool = False):
+        self.pairs = tuple((f, g) for f, g in pairs)
+        if not self.pairs:
+            raise ValueError("a diagonal system needs at least one pair (f_1, g_1)")
         # shift-like systems act as (x_0, ..., x_d) -> (f(x_0), x_0, ...,
         # x_{d-1}): the diagonal image's deepest coordinate is already
         # determined, so applying the map does not lose depth
         self.shift_like = shift_like
 
+    def _pair(self, i: int) -> tuple[PLMap, PLMap]:
+        if i < 1:
+            raise ValueError(f"levels are indexed from 1, got {i}")
+        return self.pairs[min(i, len(self.pairs)) - 1]
+
+    def bonding(self, i: int) -> PLMap:
+        return self._pair(i)[0]
+
+    def diagonal_maps(self, i: int) -> PLMap:
+        return self._pair(i)[1]
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(f: PLMap, g: PLMap) -> "DiagonalSystem":
-        return DiagonalSystem(lambda i: f, lambda i: g)
+        return DiagonalSystem([(f, g)])
 
     @staticmethod
     def shift(f: PLMap) -> "DiagonalSystem":
@@ -63,16 +71,7 @@ class DiagonalSystem:
         (one application moves every thread one step along f); the image's
         deepest coordinate equals the old x_{depth-1}, so truncated points
         keep their depth."""
-        return DiagonalSystem(lambda i: f, lambda i: compose(f, f), shift_like=True)
-
-    @staticmethod
-    def from_pairs(pairs: Sequence[tuple[PLMap, PLMap]]) -> "DiagonalSystem":
-        """Finite data (f_1, g_1), ..., (f_n, g_n); the last pair repeats."""
-
-        def pick(seq_index: int) -> tuple[PLMap, PLMap]:
-            return pairs[min(seq_index, len(pairs)) - 1]
-
-        return DiagonalSystem(lambda i: pick(i)[0], lambda i: pick(i)[1])
+        return DiagonalSystem([(f, compose(f, f))], shift_like=True)
 
     # -- structure ----------------------------------------------------------
 

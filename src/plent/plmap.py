@@ -11,7 +11,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     CompositionError,
@@ -84,19 +84,6 @@ def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
         else:
             out.append(iv)
     return out
-
-
-def intervals_cover(cover: Sequence[Interval], target: Interval) -> bool:
-    """Exact check that the union of `cover` contains `target`."""
-    for iv in merge_intervals(cover):
-        if iv.lo <= target.lo:
-            if iv.hi >= target.hi:
-                return True
-            # could still be covered by a later component only if they touch,
-            # but merge_intervals made components maximal and disjoint
-        elif iv.lo > target.lo:
-            break
-    return False
 
 
 UNIT = Interval(ZERO, ONE)

@@ -22,14 +22,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import CompositionError, UnsupportedRelationError
 from .plmap import (
     Interval,
     PLMap,
     RatLike,
-    UNIT,
     _merge_collinear,
     as_rat,
     compose,
@@ -282,29 +281,36 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
     return PLRelation(arcs)
 
 
-def evaluate_at(rel: PLRelation, x: RatLike) -> list[Union[Fraction, Interval]]:
-    """The fiber {y : (x, y) in rel} as points and/or intervals."""
-    x = as_rat(x)
-    pieces = [fib for arc in rel.arcs if (fib := arc.fiber(x)) is not None]
-    out: list[Union[Fraction, Interval]] = []
-    for iv in merge_intervals(pieces):
-        out.append(iv.lo if iv.is_point() else iv)
-    return out
-
-
 def fiber_intervals(rel: PLRelation, x: RatLike) -> list[Interval]:
-    """Like evaluate_at but uniformly as (possibly degenerate) intervals."""
+    """The fiber {y : (x, y) in rel} as merged, possibly degenerate,
+    intervals."""
     x = as_rat(x)
     return merge_intervals(
         fib for arc in rel.arcs if (fib := arc.fiber(x)) is not None
     )
 
 
-def image_of_interval(rel: PLRelation, xs: Interval) -> list[Interval]:
-    """Union of fibers over an interval of x-values."""
-    return merge_intervals(
-        img for arc in rel.arcs if (img := arc.image(xs)) is not None
-    )
+def _compose_strict(r: PLMap, s: PLMap, overlap: Interval) -> MonotoneArc:
+    """The arc of s o r over `overlap`, the nondegenerate intersection of
+    the range of the strictly monotone r with the domain of s."""
+    if len(r.breakpoints) == 2 and len(s.breakpoints) == 2:
+        # affine-through-affine chains reduce to pure rational arithmetic,
+        # which dominates the runtime of large mixed branch families
+        (xr0, yr0), (xr1, yr1) = r.breakpoints
+        slope_r = (yr1 - yr0) / (xr1 - xr0)
+        u = xr0 + (overlap.lo - yr0) / slope_r
+        v = xr0 + (overlap.hi - yr0) / slope_r
+        lo, hi = (u, v) if u <= v else (v, u)
+        (xs0, ys0), (xs1, ys1) = s.breakpoints
+        slope_s = (ys1 - ys0) / (xs1 - xs0)
+        za, zb = (overlap.lo, overlap.hi) if slope_r > 0 else (overlap.hi, overlap.lo)
+        return MonotoneArc.from_map(
+            PLMap([(lo, ys0 + slope_s * (za - xs0)), (hi, ys0 + slope_s * (zb - xs0))])
+        )
+    rinv = r.inverse()
+    xa, xb = rinv(overlap.lo), rinv(overlap.hi)
+    rp = r.restrict(min(xa, xb), max(xa, xb))
+    return MonotoneArc.from_map(compose(s.restrict(overlap.lo, overlap.hi), rp))
 
 
 def _compose_pair(r: MonotoneArc, s: MonotoneArc) -> Optional[MonotoneArc]:
@@ -352,10 +358,7 @@ def _compose_pair(r: MonotoneArc, s: MonotoneArc) -> Optional[MonotoneArc]:
             x0 = r.homeo.inverse()(overlap.lo)
             _warn_point(x0, s.homeo(overlap.lo), "a degenerate range/domain overlap")
         return None
-    rinv = r.homeo.inverse()
-    xa, xb = rinv(overlap.lo), rinv(overlap.hi)
-    rp = r.homeo.restrict(min(xa, xb), max(xa, xb))
-    return MonotoneArc.from_map(compose(s.homeo.restrict(overlap.lo, overlap.hi), rp))
+    return _compose_strict(r.homeo, s.homeo, overlap)
 
 
 def compose_rel(s: PLRelation, r: PLRelation) -> PLRelation:

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -101,6 +102,17 @@ def test_invlim_subcommand(tmp_path):
     rows = read_csv(tmp_path, "invlim.csv")
     assert rows[0][0] == "n"
     assert len(rows) == 4
+
+
+def test_invlim_diag_csv_is_pinned(tmp_path):
+    code = run(
+        tmp_path, "invlim",
+        "--system", "diag", "--f", "tent:2", "--g", "tent:3",
+        "--depth", "3", "--nmax", "4", "--grid", "1/64",
+    )
+    assert code == 0
+    digest = hashlib.sha256((Path(tmp_path) / "invlim.csv").read_bytes()).hexdigest()
+    assert digest == "ff67ffee7290bfd9063bf380a6bc5aae84edaf38e193039ee8f477aa3accb662"
 
 
 def test_appendix_subcommand(tmp_path):

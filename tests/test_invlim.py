@@ -61,6 +61,25 @@ def test_shift_system_is_the_natural_extension():
     assert q.coords[1:] == p.coords[:-1]
 
 
+def test_shift_system_composes_its_diagonal_map_once():
+    sys_ = DiagonalSystem.shift(tent(2))
+    assert sys_.diagonal_maps(1) is sys_.diagonal_maps(7)
+    assert map_equals(sys_.diagonal_maps(1), compose(tent(2), tent(2)))
+
+
+def test_pairs_system_repeats_its_last_pair():
+    first, second = (tent(2), tent(3)), (tent(3), tent(2))
+    sys_ = DiagonalSystem([first, second])
+    assert (sys_.bonding(1), sys_.diagonal_maps(1)) == first
+    for i in (2, 9):
+        assert (sys_.bonding(i), sys_.diagonal_maps(i)) == second
+
+
+def test_system_needs_at_least_one_pair():
+    with pytest.raises(ValueError):
+        DiagonalSystem([])
+
+
 def test_generic_diagonal_drops_one_level():
     sys_ = DiagonalSystem.constant(tent(2), tent(3))
     p = sys_.point_from_tip(3, F(1, 8))

@@ -18,7 +18,6 @@ from plent.plmap import (
     constant_slope,
     entropy_lap_growth,
     identity_map,
-    intervals_cover,
     iterate,
     map_equals,
     merge_intervals,
@@ -56,12 +55,8 @@ def test_merge_intervals_merges_touching_pieces():
         Interval(F(0), F(1, 2)),
         Interval(F(3, 4), F(1)),
     ]
-
-
-def test_intervals_cover():
-    cover = [Interval(F(0), F(1, 2)), Interval(F(1, 3), F(1))]
-    assert intervals_cover(cover, UNIT)
-    assert not intervals_cover([Interval(F(0), F(1, 2))], UNIT)
+    # overlapping pieces merge too, into one cover of the unit interval
+    assert merge_intervals([Interval(F(0), F(1, 2)), Interval(F(1, 3), F(1))]) == [UNIT]
 
 
 # -- construction and canonical form ----------------------------------------

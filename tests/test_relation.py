@@ -17,10 +17,8 @@ from plent.relation import (
     commutes,
     compose_rel,
     diagonal,
-    evaluate_at,
     fiber_intervals,
     graph_of,
-    image_of_interval,
     inverse_rel,
     param_graph,
     rel_equals,
@@ -43,27 +41,26 @@ def tent_inv_comp(n, m):
 
 
 def test_graph_fiber_is_the_function_value():
-    assert evaluate_at(graph_of(tent(2)), F(1, 2)) == [F(1)]
-    assert evaluate_at(graph_of(tent(2)), F(1, 4)) == [F(1, 2)]
+    assert fiber_intervals(graph_of(tent(2)), F(1, 2)) == [Interval(F(1), F(1))]
+    assert fiber_intervals(graph_of(tent(2)), F(1, 4)) == [Interval(F(1, 2), F(1, 2))]
 
 
 def test_vertical_arc_fiber_is_an_interval():
     ver = inverse_rel(graph_of(constant_map(UNIT, F(1, 2))))
     fibs = fiber_intervals(ver, F(1, 2))
     assert fibs == [UNIT]
-    assert evaluate_at(ver, F(1, 4)) == []
+    assert fiber_intervals(ver, F(1, 4)) == []
 
 
 def test_image_of_interval():
-    rel = graph_of(tent(2))
-    assert image_of_interval(rel, Interval(F(0), F(1, 4))) == [
-        Interval(F(0), F(1, 2))
-    ]
+    xs = Interval(F(0), F(1, 4))
+    images = [arc.image(xs) for arc in graph_of(tent(2)).arcs]
+    assert images == [Interval(F(0), F(1, 2)), None]
 
 
 def test_diagonal_relation():
     d = diagonal()
-    assert evaluate_at(d, F(1, 3)) == [F(1, 3)]
+    assert fiber_intervals(d, F(1, 3)) == [Interval(F(1, 3), F(1, 3))]
 
 
 # -- equality as point sets -----------------------------------------------------
@@ -224,8 +221,8 @@ def test_rescale_conjugates_by_the_box_chart():
     # the tent graph over [0,1/2]^2 is {(x,2x) : x in [0,1/4]}; in box
     # coordinates that becomes the doubling line {(u,2u) : u in [0,1/2]}
     resc = rescale_rel(graph_of(tent(2)), Interval(F(0), F(1, 2)))
-    assert evaluate_at(resc, F(1, 4)) == [F(1, 2)]
-    assert evaluate_at(resc, F(3, 4)) == []
+    assert fiber_intervals(resc, F(1, 4)) == [Interval(F(1, 2), F(1, 2))]
+    assert fiber_intervals(resc, F(3, 4)) == []
 
 
 # -- commutation -------------------------------------------------------------------
