@@ -40,12 +40,18 @@ from .relation import (
 )
 
 
-def _rat(text: str) -> Fraction:
-    return Fraction(text)
+def _positive_rat(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational such as 1/16, got {text!r}")
+    return value
 
 
-def _rat_list(text: str) -> list[Fraction]:
-    return [Fraction(t) for t in text.split(",")]
+def _positive_rat_list(text: str) -> list[Fraction]:
+    return [_positive_rat(t) for t in text.split(",")]
 
 
 def _int_list(text: str) -> list[int]:
@@ -276,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default=None)
     p.add_argument("--mode", choices=["graph", "param", "invcomp"], default="param")
     p.add_argument("--power", type=int, default=1)
-    p.add_argument("--eps", type=_rat_list, default=[Fraction(1, 8), Fraction(1, 16)])
+    p.add_argument("--eps", type=_positive_rat_list, default=[Fraction(1, 8), Fraction(1, 16)])
     p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--grid", type=_rat, default=Fraction(1, 32))
+    p.add_argument("--grid", type=_positive_rat, default=Fraction(1, 32))
     _add_common(p)
     p.set_defaults(fn=cmd_entropy_rel)
 
@@ -288,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default=None)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--eps", type=_rat, default=Fraction(1, 16))
-    p.add_argument("--grid", type=_rat, default=Fraction(1, 256))
+    p.add_argument("--eps", type=_positive_rat, default=Fraction(1, 16))
+    p.add_argument("--grid", type=_positive_rat, default=Fraction(1, 256))
     _add_common(p)
     p.set_defaults(fn=cmd_invlim)
 
@@ -328,9 +334,18 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
     return ap.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
+def _require_g(ap: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """--g is a usage error to leave out where the second map is used."""
+    mode, system = getattr(args, "mode", "graph"), getattr(args, "system", "shift")
+    if getattr(args, "g", None) is None and (mode != "graph" or system == "diag"):
+        used = f"--mode {mode}" if mode != "graph" else f"--system {system}"
+        ap.error(f"{args.command} {used} needs the second map --g")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = _apply_config(ap, list(sys.argv[1:] if argv is None else argv))
+    _require_g(ap, args)
     try:
         return args.fn(args)
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises

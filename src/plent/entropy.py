@@ -10,11 +10,12 @@ Three independent routes live here:
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .branch import branch_counts
@@ -111,11 +112,50 @@ def enumerate_orbits(
 _EXACT_COMPONENT = 24
 
 
-def _orbit_separated(a: Sequence[Fraction], b: Sequence[Fraction], eps: Fraction) -> bool:
-    return any(abs(x - y) > eps for x, y in zip(a, b))
+def _closeness(points: Sequence[Sequence[Fraction]], eps: Fraction) -> list[set[int]]:
+    """adj[i]: every j != i with |points[i][k] - points[j][k]| <= eps for
+    every coordinate k, the closeness graph of the sup norm.
+
+    A fixed-radius neighbour search (Bentley 1975) on one integer lattice
+    1/D, D the lcm of every denominator: points are bucketed by
+    floor(x_k / eps) on their first (at most three) coordinates, and two
+    close points lie in the same or neighbouring cells, so only those pairs
+    are compared, exactly, over all coordinates.
+    """
+    eps = as_rat(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    d = math.lcm(eps.denominator, *{x.denominator for p in points for x in p})
+    e = eps.numerator * (d // eps.denominator)
+    lattice = [[x.numerator * (d // x.denominator) for x in p] for p in points]
+    k = min(3, *map(len, lattice)) if lattice else 0
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(lattice):
+        cells.setdefault(tuple(v // e for v in p[:k]), []).append(i)
+    # each unordered pair of neighbouring cells once: the cell itself and
+    # the offsets that are lexicographically positive
+    offsets = [o for o in product((-1, 0, 1), repeat=k) if o > (0,) * k]
+    adj: list[set[int]] = [set() for _ in points]
+
+    def link(i: int, js) -> None:
+        p = lattice[i]
+        for j in js:
+            if all(abs(a - b) <= e for a, b in zip(p, lattice[j])):
+                adj[i].add(j)
+                adj[j].add(i)
+
+    for key, members in cells.items():
+        for at, i in enumerate(members):
+            link(i, members[at + 1 :])
+        for o in offsets:
+            other = cells.get(tuple(c + dc for c, dc in zip(key, o)))
+            if other:
+                for i in members:
+                    link(i, other)
+    return adj
 
 
-def _max_independent(nodes: list[int], adj: dict[int, set[int]]) -> int:
+def _max_independent(nodes: list[int], adj: list[set[int]]) -> int:
     """Exact maximum independent set size (branch and bound)."""
     if not nodes:
         return 0
@@ -131,27 +171,17 @@ def _max_independent(nodes: list[int], adj: dict[int, set[int]]) -> int:
     return max(1 + _max_independent(with_v, adj), _max_independent(without_v, adj))
 
 
-def separated_count(
-    points: Sequence[Sequence[Fraction]],
-    eps: Fraction,
-    separated=_orbit_separated,
-) -> int:
-    """Largest number of pairwise eps-separated points.
+def separated_count(points: Sequence[Sequence[Fraction]], eps: Fraction) -> int:
+    """Largest number of pairwise eps-separated points (sup norm).
 
     Exact (max independent set of the closeness graph) on every connected
     component of at most `_EXACT_COMPONENT` points; larger components fall
     back to a greedy packing, which still yields a valid lower bound.
     """
-    eps = as_rat(eps)
-    n = len(points)
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in combinations(range(n), 2):
-        if not separated(points[i], points[j], eps):
-            adj[i].add(j)
-            adj[j].add(i)
+    adj = _closeness(points, eps)
     seen = set()
     total = 0
-    for start in range(n):
+    for start in range(len(points)):
         if start in seen:
             continue
         comp = [start]
@@ -167,28 +197,24 @@ def separated_count(
         if len(comp) <= _EXACT_COMPONENT:
             total += _max_independent(comp, adj)
         else:
-            chosen: list[int] = []
+            blocked: set[int] = set()
             for u in sorted(comp):
-                if all(w not in adj[u] for w in chosen):
-                    chosen.append(u)
-            total += len(chosen)
+                if u not in blocked:
+                    total += 1
+                    blocked |= adj[u]
     return total
 
 
 def spanning_count(
     points: Sequence[Sequence[Fraction]],
     eps: Fraction,
-    separated=_orbit_separated,
     exact_cap: int = 16,
 ) -> int:
     """Smallest subset within eps of every point (exact set cover for at
     most `exact_cap` points, greedy upper bound beyond)."""
-    eps = as_rat(eps)
+    adj = _closeness(points, eps)
     n = len(points)
-    covers = [
-        {j for j in range(n) if not separated(points[i], points[j], eps)}
-        for i in range(n)
-    ]
+    covers = [a | {i} for i, a in enumerate(adj)]
     if n <= exact_cap:
         for size in range(1, n + 1):
             for subset in combinations(range(n), size):
@@ -198,11 +224,19 @@ def spanning_count(
                 if len(hit) == n:
                     return size
         return n
+    # lazy greedy: gains only shrink, so an entry whose stored gain is
+    # still current is the largest gain, and the smallest index among ties
     uncovered = set(range(n))
+    heap = [(-len(c), i) for i, c in enumerate(covers)]
+    heapq.heapify(heap)
     count = 0
     while uncovered:
-        best = max(range(n), key=lambda i: len(covers[i] & uncovered))
-        uncovered -= covers[best]
+        neg_gain, i = heapq.heappop(heap)
+        gain = len(covers[i] & uncovered)
+        if gain != -neg_gain:
+            heapq.heappush(heap, (-gain, i))
+            continue
+        uncovered -= covers[i]
         count += 1
     return count
 

@@ -96,8 +96,9 @@ def check_diagonal_compat(sys: DiagonalSystem, depth: int) -> bool:
 
 
 def first_incompatible_level(sys: DiagonalSystem, depth: int) -> Optional[int]:
-    """Smallest i <= depth with g_i o f_{i+1} != f_i o g_{i+1}, else None."""
-    for i in range(1, depth + 1):
+    """Smallest i <= depth with g_i o f_{i+1} != f_i o g_{i+1}, else None.
+    Levels past len(sys.pairs) repeat the check at the last pair."""
+    for i in range(1, min(depth, len(sys.pairs)) + 1):
         lhs = compose(sys.diagonal_maps(i), sys.bonding(i + 1))
         rhs = compose(sys.bonding(i), sys.diagonal_maps(i + 1))
         if not map_equals(lhs, rhs):
@@ -248,6 +249,8 @@ def entropy_estimate_diagonal(
     by 2^-depth, reported per row.
     """
     eps, grid = as_rat(eps), as_rat(grid)
+    if grid <= 0:
+        raise ValueError("grid must be positive")
     start_depth = depth if sys.shift_like else depth + n_max - 1
     tips = [k * grid for k in range(math.floor(1 / grid) + 1) if k * grid <= 1]
     trajectories = []
@@ -259,34 +262,17 @@ def entropy_estimate_diagonal(
             traj.append(p)
         trajectories.append(traj)
 
-    def first_separation(ti, tj) -> Optional[int]:
-        for step, (p, q) in enumerate(zip(ti, tj)):
-            if any(
-                abs(a - b) > eps
-                for a, b in zip(p.coords[: depth + 1], q.coords[: depth + 1])
-            ):
-                return step
-        return None
-
-    m = len(trajectories)
-    sep_step = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = first_separation(trajectories[i], trajectories[j])
-            if s is not None:
-                sep_step[(i, j)] = s
-
+    # a trajectory's n-step prefix as one flat point: two trajectories are
+    # separated within n steps iff these points are eps-separated
+    prefixes = [()] * len(trajectories)
     rows = []
     tail = Fraction(1, 2**depth)
     for n in range(1, n_max + 1):
-        idx = list(range(m))
-
-        def separated(a, b, _eps, n=n):
-            i, j = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
-            s = sep_step.get((i, j))
-            return s is not None and s < n
-
-        count = separated_count([(i,) for i in idx], eps, separated=separated)
+        prefixes = [
+            prefix + traj[n - 1].coords[: depth + 1]
+            for prefix, traj in zip(prefixes, trajectories)
+        ]
+        count = separated_count(prefixes, eps)
         rows.append(
             DiagonalEstimateRow(
                 n, eps, count, math.log(count) / n if count > 1 else 0.0, tail

@@ -162,3 +162,48 @@ def test_failures_produce_report_and_exit_two(tmp_path):
     assert code == 2
     payload = read_json(tmp_path, "failure.json")
     assert "error" in payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--eps", "0"],
+        ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--eps", "1/8,0"],
+        ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--eps=-1/8"],
+        ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--grid", "0"],
+        ["invlim", "--f", "tent:2", "--grid", "0"],
+        ["invlim", "--f", "tent:2", "--eps=-1/16"],
+        ["invlim", "--f", "tent:2", "--eps", "x"],
+    ],
+)
+def test_eps_and_grid_must_be_positive_rationals(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "positive rational" in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()
+
+
+def test_config_grid_must_be_positive(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["invlim", "--f", "tent:2", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horseshoe", "--f", "tent:2", "--n", "2"],
+        ["horseshoe", "--f", "tent:2", "--mode", "invcomp", "--n", "2"],
+        ["entropy-rel", "--f", "tent:2"],
+        ["invlim", "--system", "diag", "--f", "tent:2"],
+    ],
+)
+def test_a_second_map_is_required_where_it_is_used(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "--g" in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()

@@ -25,6 +25,7 @@ from plent.relation import (
 from plent.entropy import (
     _base_intervals,
     _lattice,
+    _max_independent,
     _subdivision_patterns,
     bracket_theorem_main,
     entropy_estimate,
@@ -70,6 +71,144 @@ def test_entropy_estimate_rows_are_consistent():
     for r in rows:
         assert r.r_count <= r.s_count
         assert r.estimate == pytest.approx(math.log(r.s_count) / r.n)
+
+
+@pytest.mark.parametrize("count", [separated_count, spanning_count])
+@pytest.mark.parametrize("eps", [0, F(-1, 8)])
+def test_counts_need_a_positive_eps(count, eps):
+    with pytest.raises(ValueError):
+        count([(F(0),), (F(1, 2),)], eps)
+
+
+# -- the neighbour-search counts against their all-pairs reference ----------------
+
+
+def _reference_separated(a, b, eps):
+    return any(abs(x - y) > eps for x, y in zip(a, b))
+
+
+def reference_separated_count(points, eps, separated=_reference_separated):
+    """separated_count as it was written, comparing every pair in Fractions;
+    kept as the oracle for the neighbour search."""
+    n = len(points)
+    adj = {i: set() for i in range(n)}
+    for i, j in combinations(range(n), 2):
+        if not separated(points[i], points[j], eps):
+            adj[i].add(j)
+            adj[j].add(i)
+    seen = set()
+    total = 0
+    for start in range(n):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        if len(comp) <= 24:
+            total += _max_independent(comp, adj)
+        else:
+            chosen = []
+            for u in sorted(comp):
+                if all(w not in adj[u] for w in chosen):
+                    chosen.append(u)
+            total += len(chosen)
+    return total
+
+
+def reference_spanning_count(points, eps, exact_cap=16):
+    """spanning_count as it was written: all-pairs covers, exact set cover up
+    to exact_cap points, first-max greedy beyond."""
+    n = len(points)
+    covers = [
+        {j for j in range(n) if not _reference_separated(points[i], points[j], eps)}
+        for i in range(n)
+    ]
+    if n <= exact_cap:
+        for size in range(1, n + 1):
+            for subset in combinations(range(n), size):
+                hit = set()
+                for i in subset:
+                    hit |= covers[i]
+                if len(hit) == n:
+                    return size
+        return n
+    uncovered = set(range(n))
+    count = 0
+    while uncovered:
+        best = max(range(n), key=lambda i: len(covers[i] & uncovered))
+        uncovered -= covers[best]
+        count += 1
+    return count
+
+
+def _random_point_set(rng):
+    """Points in [0, 1]^dim on mixed denominators, with duplicates, pairs
+    exactly eps apart and, sometimes, a chain of points closer than eps that
+    makes one component of more than 24 points."""
+    dim = rng.choice((1, 1, 2, 3, 4, 5, 8, 17, 40))
+    eps = rng.choice((F(1, 8), F(1, 6), F(1, 4), F(1, 7), F(2, 13), F(3, 10)))
+    dens = rng.sample((2, 3, 4, 5, 6, 8, 9, 12, 16, 35), rng.randint(1, 3))
+
+    def value():
+        q = rng.choice(dens)
+        return F(rng.randint(0, q), q)
+
+    n = rng.choice((0, 1, 2, 3, rng.randint(4, 10), rng.randint(17, 60)))
+    points = [tuple(value() for _ in range(dim)) for _ in range(n)]
+    for _ in range(min(n, rng.randint(0, 4))):
+        p = list(rng.choice(points))
+        p[rng.randrange(dim)] += eps * rng.choice((1, -1))  # exactly eps apart
+        points.append(tuple(p))
+    for _ in range(min(n, rng.randint(0, 3))):
+        points.append(rng.choice(points))  # duplicates
+    if n and rng.random() < 0.25:
+        base = rng.choice(points)
+        step = eps / rng.choice((2, 3))
+        points += [tuple(x + k * step for x in base) for k in range(1, rng.randint(26, 40))]
+    rng.shuffle(points)
+    return points, eps
+
+
+def test_counts_match_the_all_pairs_reference_on_random_point_sets():
+    rng = random.Random(6060)
+    big_component = greedy_spanning = 0
+    for _ in range(200):
+        points, eps = _random_point_set(rng)
+        assert separated_count(points, eps) == reference_separated_count(points, eps)
+        assert spanning_count(points, eps) == reference_spanning_count(points, eps)
+        greedy_spanning += len(points) > 16
+        big_component += len(points) > 24
+        assert spanning_count(points, eps, exact_cap=0) == reference_spanning_count(
+            points, eps, exact_cap=0
+        )
+    assert big_component >= 40 and greedy_spanning >= 50
+
+
+def test_counts_match_the_reference_on_a_component_over_24_points():
+    # 30 points 1/16 apart on a line: one component, so the greedy packing
+    # runs, and it keeps every other point
+    points = [(F(k, 16), F(1, 3)) for k in range(30)]
+    eps = F(1, 16)
+    assert separated_count(points, eps) == reference_separated_count(points, eps) == 15
+    assert spanning_count(points, eps) == reference_spanning_count(points, eps) == 10
+
+
+def test_counts_match_the_reference_on_relation_orbits():
+    rel = param_graph(tent(2), tent(3))
+    for n in (1, 2, 3):
+        orbits = enumerate_orbits(rel, n, F(1, 16)).orbits
+        for eps in (F(1, 8), F(1, 16), F(1, 10)):
+            assert separated_count(orbits, eps) == reference_separated_count(orbits, eps)
+            assert spanning_count(orbits, eps, exact_cap=0) == reference_spanning_count(
+                orbits, eps, exact_cap=0
+            )
 
 
 # -- horseshoes --------------------------------------------------------------------

@@ -24,6 +24,8 @@ from plent.invlim import (
 )
 from plent.blocks import appendix_system, level_report
 
+from test_entropy import reference_separated_count
+
 
 @pytest.fixture(autouse=True)
 def _quiet_isolated_points():
@@ -128,6 +130,33 @@ def test_incompatible_system_reports_first_level():
     assert first_incompatible_level(sys_, 3) == 1
 
 
+def test_compatibility_stops_at_the_last_pair(monkeypatch):
+    import plent.invlim
+
+    calls = []
+
+    def counting_compose(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(plent.invlim, "compose", counting_compose)
+    # levels past the last pair repeat its check, so one level decides
+    assert first_incompatible_level(DiagonalSystem.constant(tent(2), tent(3)), 8) is None
+    assert len(calls) == 2
+
+
+def test_two_pair_system_reports_its_first_incompatible_level():
+    from plent.families import middle_third_tilde
+    from plent.plmap import PLMap
+
+    # level 1 holds (both sides are the zero map); level 2 and every level
+    # after it compare tent(2) with a map that does not commute with it
+    zero = PLMap([(0, 0), (1, 0)])
+    sys_ = DiagonalSystem([(zero, zero), (tent(2), middle_third_tilde(tent(3)))])
+    assert first_incompatible_level(sys_, 1) is None
+    assert first_incompatible_level(sys_, 8) == 2
+
+
 def test_appendix_system_is_compatible_but_not_at_omega():
     sys_ = appendix_system((2, 5, 2, 5), F(2))
     assert check_diagonal_compat(sys_, 3)
@@ -174,6 +203,69 @@ def test_shift_estimate_recovers_the_base_entropy():
     estimate = rows[-1].estimate
     assert math.log(2) - 0.2 <= estimate <= math.log(2) + 0.05
     assert rows[-1].tail_bound == F(1, 2**8)
+
+
+def reference_diagonal_counts(sys_, depth, n_max, eps, grid):
+    """The separated counts of entropy_estimate_diagonal as first written:
+    every pair of trajectories compared for the first step at which they
+    separate, then one predicate per n."""
+    start_depth = depth if sys_.shift_like else depth + n_max - 1
+    trajectories = []
+    for k in range(int(1 / grid) + 1):
+        p = sys_.point_from_tip(start_depth, k * grid)
+        traj = [p]
+        for _ in range(n_max - 1):
+            p = apply_diagonal(sys_, p)
+            traj.append(p)
+        trajectories.append(traj)
+
+    def first_separation(ti, tj):
+        for step, (p, q) in enumerate(zip(ti, tj)):
+            if any(
+                abs(a - b) > eps
+                for a, b in zip(p.coords[: depth + 1], q.coords[: depth + 1])
+            ):
+                return step
+        return None
+
+    m = len(trajectories)
+    sep_step = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            s = first_separation(trajectories[i], trajectories[j])
+            if s is not None:
+                sep_step[(i, j)] = s
+    counts = []
+    for n in range(1, n_max + 1):
+
+        def separated(a, b, _eps, n=n):
+            s = sep_step.get((min(a[0], b[0]), max(a[0], b[0])))
+            return s is not None and s < n
+
+        counts.append(reference_separated_count([(i,) for i in range(m)], eps, separated))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "sys_, depth, n_max, eps",
+    [
+        (DiagonalSystem.shift(tent(2)), 1, 6, F(1, 8)),
+        (DiagonalSystem.shift(tent(2)), 1, 5, F(1, 10)),
+        (DiagonalSystem.constant(tent(2), tent(3)), 3, 4, F(1, 16)),
+    ],
+)
+def test_diagonal_counts_match_the_all_pairs_reference(sys_, depth, n_max, eps):
+    grid = F(1, 64)
+    rows = entropy_estimate_diagonal(sys_, depth, n_max, eps, grid)
+    counts = [r.s_count for r in rows]
+    assert counts == reference_diagonal_counts(sys_, depth, n_max, eps, grid)
+    assert counts == sorted(counts) and counts[-1] > counts[0]
+
+
+@pytest.mark.parametrize("eps, grid", [(F(0), F(1, 64)), (F(1, 16), F(0)), (F(1, 16), F(-1, 64))])
+def test_diagonal_estimate_needs_positive_eps_and_grid(eps, grid):
+    with pytest.raises(ValueError):
+        entropy_estimate_diagonal(DiagonalSystem.shift(tent(2)), 3, 2, eps, grid)
 
 
 # -- blockwise level analysis ----------------------------------------------------------
