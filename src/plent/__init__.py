@@ -5,10 +5,8 @@ from .plmap import (
     Interval,
     LapGrowth,
     PLMap,
-    Rat,
     as_rat,
     compose,
-    conjugate,
     constant_slope,
     entropy_lap_growth,
     identity_map,
@@ -34,9 +32,7 @@ from .branch import (
     BranchFamily,
     branch_counts,
     branch_families,
-    fiber_cardinality,
     initial_branches,
-    interleave_check,
     next_family,
 )
 from .entropy import (
@@ -73,7 +69,6 @@ from .invlim import (
     first_incompatible_level,
     lift_orbit,
     psi_component,
-    truncated_metric,
 )
 from .blocks import appendix_system, level_report
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InvalidFamilyError, ResourceError
-from .plmap import Interval, PLMap, UNIT
+from .plmap import Interval, PLMap, UNIT, _on_lattice
 from .relation import INC, DEC, MonotoneArc, PLRelation, _compose_strict, param_graph
 
 
@@ -138,11 +138,6 @@ def chain(a: Branch, b: Branch, provenance=None) -> Optional[Branch]:
     return Branch(_compose_strict(a.arc.homeo, b.arc.homeo, z), provenance)
 
 
-def _scaled(q: Fraction, den: int) -> int:
-    """The numerator of q over den, a multiple of q's denominator."""
-    return q.numerator * (den // q.denominator)
-
-
 def _lattice_of(fam: BranchFamily) -> Optional[_Lattice]:
     """The family on its lattice, or None when some arc is not affine."""
     if fam._lattice is not None:
@@ -153,7 +148,7 @@ def _lattice_of(fam: BranchFamily) -> Optional[_Lattice]:
     dx = math.lcm(*(x.denominator for p in pts for x, _ in p))
     dy = math.lcm(*(y.denominator for p in pts for _, y in p))
     keys = [
-        (_scaled(x0, dx), _scaled(x1, dx), _scaled(y0, dy), _scaled(y1, dy))
+        (_on_lattice(x0, dx), _on_lattice(x1, dx), _on_lattice(y0, dy), _on_lattice(y1, dy))
         for (x0, y0), (x1, y1) in pts
     ]
     return _Lattice(dx, dy, keys, [b.provenance for b in fam.branches])
@@ -294,30 +289,3 @@ def branch_counts(
             )
         rows.append((fam.level, count, math.log(count) / fam.level))
     return rows
-
-
-def fiber_cardinality(fam: BranchFamily, z: Fraction) -> int:
-    """Number of distinct points of the family's relation over x = z."""
-    values = set()
-    for b in fam.branches:
-        if b.dom.contains(z):
-            values.add(b.arc.homeo(z))
-    return len(values)
-
-
-def interleave_check(f: PLMap, g: PLMap, strict: bool = True) -> bool:
-    """Whether the critical points of f fall strictly between consecutive
-    critical points of g in the proportional pattern i = floor(n*j/m),
-    n, m the lap counts of g, f (requires n > m)."""
-    m, n = f.lap_count(), g.lap_count()
-    if n <= m:
-        raise ValueError("second map must have strictly more laps")
-    cf = f.critical_points()
-    cg = [Fraction(0)] + g.critical_points() + [Fraction(1)]
-    if set(cf) & set(cg[1:-1]):
-        return False
-    for j, t_hat in enumerate(cf, start=1):
-        i = (n * j) // m
-        if not (cg[i] < t_hat < cg[i + 1] if strict else cg[i] <= t_hat <= cg[i + 1]):
-            return False
-    return True

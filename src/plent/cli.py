@@ -334,8 +334,19 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
     return ap.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
-def _require_g(ap: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """--g is a usage error to leave out where the second map is used."""
+def _require_maps(ap: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """A map is a usage error to leave out where it is used: each map of
+    `branches` needs its spec or its tent parameter, and --g is needed
+    wherever the second map is used."""
+    if args.command == "branches":
+        missing = [
+            f"--{spec} or --{param}"
+            for spec, param in (("f", "m"), ("g", "n"))
+            if not getattr(args, spec) and getattr(args, param) is None
+        ]
+        if missing:
+            ap.error(f"branches needs {' and '.join(missing)}")
+        return
     mode, system = getattr(args, "mode", "graph"), getattr(args, "system", "shift")
     if getattr(args, "g", None) is None and (mode != "graph" or system == "diag"):
         used = f"--mode {mode}" if mode != "graph" else f"--system {system}"
@@ -345,7 +356,7 @@ def _require_g(ap: argparse.ArgumentParser, args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = _apply_config(ap, list(sys.argv[1:] if argv is None else argv))
-    _require_g(ap, args)
+    _require_maps(ap, args)
     try:
         return args.fn(args)
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .branch import branch_counts
 from .errors import CompositionError, ResourceError
-from .plmap import Interval, as_rat, iterate
+from .plmap import Interval, _on_lattice, as_rat, iterate
 from .relation import (
     VER,
     PLRelation,
@@ -40,6 +40,13 @@ class OrbitSet:
     n: int
     grid: Fraction
     orbits: tuple[tuple[Fraction, ...], ...]
+
+
+def _grid_points(grid: Fraction) -> list[Fraction]:
+    """The multiples of grid in [0, 1]; grid must be positive."""
+    if grid <= 0:
+        raise ValueError("grid must be positive")
+    return [k * grid for k in range(math.floor(1 / grid) + 1)]
 
 
 def _successors(rel: PLRelation, x: Fraction, grid: Fraction) -> list[Fraction]:
@@ -68,9 +75,7 @@ def enumerate_orbits(
     multiples, so membership is exact even though the set is finite.
     """
     grid = as_rat(grid)
-    if grid <= 0:
-        raise ValueError("grid must be positive")
-    starts = [k * grid for k in range(math.floor(1 / grid) + 1) if k * grid <= 1]
+    starts = _grid_points(grid)
     succ_cache: dict[Fraction, list[Fraction]] = {}
 
     def successors(x: Fraction) -> list[Fraction]:
@@ -126,8 +131,8 @@ def _closeness(points: Sequence[Sequence[Fraction]], eps: Fraction) -> list[set[
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = math.lcm(eps.denominator, *{x.denominator for p in points for x in p})
-    e = eps.numerator * (d // eps.denominator)
-    lattice = [[x.numerator * (d // x.denominator) for x in p] for p in points]
+    e = _on_lattice(eps, d)
+    lattice = [[_on_lattice(x, d) for x in p] for p in points]
     k = min(3, *map(len, lattice)) if lattice else 0
     cells: dict[tuple[int, ...], list[int]] = {}
     for i, p in enumerate(lattice):
@@ -289,10 +294,6 @@ class HorseshoeCert:
     @property
     def bound(self) -> float:
         return math.log(self.n)
-
-
-def _on_lattice(v: Fraction, d: int) -> int:
-    return v.numerator * (d // v.denominator)
 
 
 def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]:
@@ -473,25 +474,21 @@ def iterate_horseshoe_bound(
     rel: PLRelation,
     k_max: int,
     power: Callable[[int], PLRelation] | None = None,
-    candidates: Callable[[int], Sequence[int]] | None = None,
+    *,
+    candidates: Callable[[int], Sequence[int]],
 ) -> list[IterateBound]:
     """Certified lower bounds (1/k) log N_k from horseshoes of the k-th
     composition power.
 
     `power` overrides how powers are formed (e.g. parameterized graphs of
     iterated maps when the pair strongly commutes).  `candidates` supplies
-    horseshoe sizes to try at each k; by default sizes are probed downward
-    from half the arc count.
+    the horseshoe sizes to try at each k, in order; the first one found
+    is kept.
     """
     out = []
     for k in range(1, k_max + 1):
         rk = power(k) if power is not None else rel_power(rel, k)
-        if candidates is not None:
-            sizes = list(candidates(k))
-        else:
-            top = (len(rk.arcs) + 1) // 2 + 1
-            sizes = list(range(top, 1, -1))
-        for n in sizes:
+        for n in candidates(k):
             if n < 2:
                 continue
             cert = find_horseshoe(rk, n)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .errors import CompositionError, DepthExhaustedError, LiftingError
 from .plmap import PLMap, as_rat, compose, map_equals
 from .relation import PLRelation, param_graph
-from .entropy import separated_count
+from .entropy import _grid_points, separated_count
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,6 @@ def apply_diagonal(sys: DiagonalSystem, p: TruncatedPoint) -> TruncatedPoint:
     return out
 
 
-def truncated_metric(
-    p: TruncatedPoint, q: TruncatedPoint
-) -> tuple[Fraction, Fraction]:
-    """Exact distance sum |x_i - y_i| / 2^i over shared depth, plus the
-    2^-depth bound on what deeper coordinates could contribute."""
-    if p.depth != q.depth:
-        raise ValueError("points must have equal depth")
-    dist = sum(
-        abs(a - b) / Fraction(2**i) for i, (a, b) in enumerate(zip(p.coords, q.coords))
-    )
-    return dist, Fraction(1, 2**p.depth)
-
-
 def _solve_pair(
     f: PLMap, g: PLMap, a: Fraction, b: Fraction
 ) -> Optional[Fraction]:
@@ -248,13 +235,10 @@ def entropy_estimate_diagonal(
     everything below coordinate ~log2(1/eps).  The ignored tail is bounded
     by 2^-depth, reported per row.
     """
-    eps, grid = as_rat(eps), as_rat(grid)
-    if grid <= 0:
-        raise ValueError("grid must be positive")
+    eps = as_rat(eps)
     start_depth = depth if sys.shift_like else depth + n_max - 1
-    tips = [k * grid for k in range(math.floor(1 / grid) + 1) if k * grid <= 1]
     trajectories = []
-    for tip in tips:
+    for tip in _grid_points(as_rat(grid)):
         p = sys.point_from_tip(start_depth, tip)
         traj = [p]
         for _ in range(n_max - 1):

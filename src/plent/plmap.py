@@ -20,7 +20,6 @@ from .errors import (
     ResourceError,
 )
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
@@ -67,10 +66,6 @@ class Interval:
         if lo > hi:
             return None
         return Interval(lo, hi)
-
-    def interior_overlaps(self, other: "Interval") -> bool:
-        """True iff the intersection has nonempty interior."""
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
 
 
 def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
@@ -205,12 +200,6 @@ class PLMap:
         b = self.lap_boundaries()
         return [self.restrict(a, c) for a, c in zip(b, b[1:])]
 
-    def is_open_onto(self) -> bool:
-        """True iff domain is [0,1] and every lap maps onto [0,1]."""
-        if self.domain != UNIT:
-            return False
-        return all(lap.range == UNIT for lap in self.laps())
-
     # -- pieces and inverses -------------------------------------------------
 
     def restrict(self, a: RatLike, b: RatLike) -> "PLMap":
@@ -268,6 +257,12 @@ def _sign(v: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
+def _on_lattice(q: Fraction, d: int) -> int:
+    """q on the integer lattice 1/d: its numerator over d, which must be a
+    multiple of q's denominator."""
+    return q.numerator * (d // q.denominator)
+
+
 def identity_map(interval: Interval = UNIT) -> PLMap:
     if interval.is_point():
         raise ValueError("identity needs a nondegenerate interval")
@@ -316,13 +311,6 @@ def iterate(f: PLMap, k: int, cap_breakpoints: int | None = None) -> PLMap:
 def map_equals(f: PLMap, g: PLMap) -> bool:
     """Exact equality of maps (same domain, same values everywhere)."""
     return f.breakpoints == g.breakpoints
-
-
-def conjugate(h: PLMap, f: PLMap) -> PLMap:
-    """h^{-1} o f o h for a PL homeomorphism h of [0,1]."""
-    if h.domain != UNIT or h.range != UNIT or not h.is_strictly_monotone():
-        raise HomeomorphismError("conjugating map must be a PL homeomorphism of [0,1]")
-    return compose(h.inverse(), compose(f, h))
 
 
 @dataclass(frozen=True)

@@ -383,61 +383,6 @@ def rel_power(rel: PLRelation, k: int) -> PLRelation:
     return acc
 
 
-def restrict_rel(rel: PLRelation, box: Interval) -> PLRelation:
-    """The relation intersected with box x box."""
-    arcs = []
-    for arc in rel.arcs:
-        if arc.kind == VER:
-            if box.contains(arc.x):
-                ys = arc.ys.intersect(box)
-                if ys is not None and not ys.is_point():
-                    arcs.append(MonotoneArc.vertical(arc.x, ys))
-            continue
-        dom = arc.dom.intersect(box)
-        if dom is None or dom.is_point():
-            continue
-        piece = arc.homeo.restrict(dom.lo, dom.hi)
-        ran = piece.range.intersect(box)
-        if ran is None:
-            continue
-        if arc.kind == HOR:
-            arcs.append(MonotoneArc.from_map(piece))
-            continue
-        inv = piece.inverse()
-        xa, xb = inv(ran.lo), inv(ran.hi)
-        lo, hi = min(xa, xb), max(xa, xb)
-        if lo == hi:
-            continue
-        arcs.append(MonotoneArc.from_map(piece.restrict(lo, hi)))
-    return PLRelation(arcs)
-
-
-def rescale_rel(rel: PLRelation, box: Interval) -> PLRelation:
-    """Conjugate the restriction of rel to box x box by the affine map
-    sending box onto [0,1] (both coordinates)."""
-    if box.is_point():
-        raise ValueError("cannot rescale a degenerate box")
-    inner = restrict_rel(rel, box)
-    w = box.length
-
-    def t(v: Fraction) -> Fraction:
-        return (v - box.lo) / w
-
-    arcs = []
-    for arc in inner.arcs:
-        if arc.kind == VER:
-            arcs.append(
-                MonotoneArc.vertical(t(arc.x), Interval(t(arc.ys.lo), t(arc.ys.hi)))
-            )
-        else:
-            arcs.append(
-                MonotoneArc.from_map(
-                    PLMap([(t(x), t(y)) for x, y in arc.homeo.breakpoints])
-                )
-            )
-    return PLRelation(arcs)
-
-
 def commutes(f: PLMap, g: PLMap) -> bool:
     """Exact equality f o g = g o f."""
     return map_equals(compose(f, g), compose(g, f))

@@ -14,9 +14,7 @@ from plent.branch import (
     branch_counts,
     branch_families,
     chain,
-    fiber_cardinality,
     initial_branches,
-    interleave_check,
     next_family,
 )
 
@@ -90,12 +88,6 @@ def test_chained_branch_projections():
     find(level2, Interval(F(2, 3), F(1)), Interval(F(0), F(3, 4)), "inc")
 
 
-def test_fiber_cardinality_counts_distinct_values():
-    fam = initial_branches(tent(3), tent(2))
-    assert fiber_cardinality(fam, F(2, 3)) == 3
-    assert fiber_cardinality(fam, F(0)) == 2
-
-
 def test_next_family_requires_level_one_base():
     fams = branch_families(tent(3), tent(2), 2)
     with pytest.raises(InvalidFamilyError):
@@ -149,10 +141,3 @@ def test_branch_order_and_provenance_are_pinned(f, g, k, digest):
     fam = branch_families(tent(f), tent(g), k)[-1]
     pairs = repr([(b.arc.key(), b.provenance) for b in fam.branches])
     assert hashlib.sha256(pairs.encode()).hexdigest() == digest
-
-
-def test_interleave_check_for_coprime_tents():
-    assert interleave_check(tent(2), tent(3))
-    assert not interleave_check(tent(2), tent(4))
-    with pytest.raises(ValueError):
-        interleave_check(tent(3), tent(3))

@@ -207,3 +207,18 @@ def test_a_second_map_is_required_where_it_is_used(tmp_path, argv, capsys):
     assert exc.value.code == 2
     assert "--g" in capsys.readouterr().err
     assert not (tmp_path / "failure.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["branches", "--n", "3", "--kmax", "2"], "--f or --m"),
+        (["branches", "--f", "tent:2", "--kmax", "2"], "--g or --n"),
+    ],
+)
+def test_branches_needs_both_maps(tmp_path, argv, missing, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()

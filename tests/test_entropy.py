@@ -47,6 +47,17 @@ def test_orbits_of_the_diagonal_are_constant():
     assert len(orb.orbits) == 5
 
 
+def test_orbits_start_at_the_grid_multiples_in_the_unit_interval():
+    orb = enumerate_orbits(diagonal(), 1, F(2, 5))
+    assert orb.orbits == ((F(0),), (F(2, 5),), (F(4, 5),))
+
+
+@pytest.mark.parametrize("grid", [0, F(-1, 8)])
+def test_enumerate_orbits_needs_a_positive_grid(grid):
+    with pytest.raises(ValueError):
+        enumerate_orbits(diagonal(), 2, grid)
+
+
 def test_separated_count_on_diagonal_grid():
     orb = enumerate_orbits(diagonal(), 1, F(1, 4))
     # {0, 1/2, 1} is the largest subset with pairwise gaps above 1/4

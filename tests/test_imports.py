@@ -1,8 +1,10 @@
 """Every module of the package, except its re-exporting __init__.py, uses
-each name it imports.  No linter ships with the toolchain, so this is a
-stdlib ``ast`` check."""
+each name it imports, and every private helper of the package is used
+somewhere.  No linter ships with the toolchain, so these are stdlib
+``ast`` checks."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,54 @@ def test_checker_sees_unused_and_quoted_names():
 )
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _names_read(tree: ast.AST) -> Counter:
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes, and private methods,
+    that nothing outside their own body reads in any of `sources`."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            defs.append(node)
+        for node in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _is_private(node.name):
+                continue
+            if read[node.name] - _names_read(node)[node.name] <= 0:
+                dead.append(f"{module}:{node.name}")
+    return dead
+
+
+def test_dead_helper_checker_sees_unread_and_self_only_names():
+    sources = {
+        "a.py": (
+            "def _used(x):\n    return x\n"
+            "def _unused():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Box:\n    def _method(self):\n        return 0\n"
+            "    def __repr__(self):\n        return ''\n"
+        ),
+        "b.py": "from .a import _used\ny = _used(_Box())\n",
+    }
+    assert dead_private_helpers(sources) == ["a.py:_unused", "a.py:_recursive", "a.py:_method"]
+
+
+def test_every_private_helper_is_used():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_helpers(sources) == []

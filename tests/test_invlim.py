@@ -20,7 +20,6 @@ from plent.invlim import (
     first_incompatible_level,
     lift_orbit,
     psi_component,
-    truncated_metric,
 )
 from plent.blocks import appendix_system, level_report
 
@@ -95,15 +94,6 @@ def test_diagonal_at_depth_zero_is_exhausted():
     sys_ = DiagonalSystem.constant(tent(2), tent(3))
     with pytest.raises(DepthExhaustedError):
         apply_diagonal(sys_, TruncatedPoint((F(1, 2),)))
-
-
-def test_truncated_metric():
-    sys_ = DiagonalSystem.constant(tent(2), tent(3))
-    p = sys_.point_from_tip(2, F(0))
-    q = sys_.point_from_tip(2, F(1, 4))
-    dist, tail = truncated_metric(p, q)
-    assert dist == sum(abs(a - b) / 2**i for i, (a, b) in enumerate(zip(p.coords, q.coords)))
-    assert tail == F(1, 4)
 
 
 def test_psi_component_is_the_parameterized_graph():

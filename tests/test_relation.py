@@ -24,8 +24,6 @@ from plent.relation import (
     rel_equals,
     rel_power,
     rel_union,
-    rescale_rel,
-    restrict_rel,
     strong_commutation_relations,
     strongly_commutes,
 )
@@ -206,23 +204,6 @@ def test_param_graph_rejects_unequal_domains():
 def test_param_graph_power_oracle():
     rel = param_graph(tent(2), tent(2))
     assert rel_equals(rel_power(rel, 2), param_graph(iterate(tent(2), 2), iterate(tent(2), 2)))
-
-
-def test_restrict_stays_inside_the_box():
-    rel = graph_of(tent(2))
-    box = Interval(F(0), F(1, 2))
-    sub = restrict_rel(rel, box)
-    for arc in sub.arcs:
-        assert box.contains_interval(arc.dom)
-        assert box.contains_interval(arc.ran)
-
-
-def test_rescale_conjugates_by_the_box_chart():
-    # the tent graph over [0,1/2]^2 is {(x,2x) : x in [0,1/4]}; in box
-    # coordinates that becomes the doubling line {(u,2u) : u in [0,1/2]}
-    resc = rescale_rel(graph_of(tent(2)), Interval(F(0), F(1, 2)))
-    assert fiber_intervals(resc, F(1, 4)) == [Interval(F(1, 2), F(1, 2))]
-    assert fiber_intervals(resc, F(3, 4)) == []
 
 
 # -- commutation -------------------------------------------------------------------
