@@ -6,21 +6,23 @@ level-1 arc through a level-k arc wherever range and domain overlap with
 nonempty interior.  Arcs are deduplicated by canonical form (as point
 sets) before counting, so the family size is a geometric invariant.
 
-When every arc is affine, as for all tent pairs, a family is held as
-integer endpoints over one least common denominator per axis and chained
-in integer arithmetic; its `Branch` objects are built only when asked for.
+Every family is held as integer breakpoints over one least common
+denominator per axis and chained in integer arithmetic, whatever the
+number of breakpoints of its arcs; its `Branch` objects are built only
+when asked for.
 """
 
 from __future__ import annotations
 
+import bisect
 import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvalidFamilyError, ResourceError
-from .plmap import Interval, PLMap, UNIT, _on_lattice
+from .plmap import Interval, PLMap, UNIT, _merge_collinear, _on_lattice
 from .relation import INC, DEC, MonotoneArc, PLRelation, _compose_strict, param_graph
 
 
@@ -46,56 +48,45 @@ class Branch:
 
 @dataclass(frozen=True)
 class _Lattice:
-    """All-affine arcs as integer endpoints over one denominator per axis.
+    """Strict PL arcs as integer breakpoints over one denominator per axis.
 
-    Arc n runs from (x0/dx, y0/dy) to (x1/dx, y1/dy), where
-    (x0, x1, y0, y1) = keys[n] and x0 < x1.  dx and dy are the least common
+    Arc n has the breakpoints (x_i/dx, y_i/dy), where keys[n] is the flat
+    tuple (x_0, ..., x_{m-1}, y_0, ..., y_{m-1}) with x increasing and no
+    three consecutive points collinear.  dx and dy are the least common
     denominators of the family's x- and y-coordinates, so the keys are
     canonical: two arcs are equal as point sets exactly when their keys are.
     """
 
     dx: int
     dy: int
-    keys: list[tuple[int, int, int, int]]
+    keys: list[tuple[int, ...]]
     provenance: list[Optional[tuple[int, int]]]
 
     def branches(self) -> tuple[Branch, ...]:
         dx, dy = self.dx, self.dy
         out = []
-        for (x0, x1, y0, y1), prov in zip(self.keys, self.provenance):
+        for key, prov in zip(self.keys, self.provenance):
+            m = len(key) // 2
             homeo = PLMap._from_canonical(
-                (
-                    (Fraction(x0, dx), Fraction(y0, dy)),
-                    (Fraction(x1, dx), Fraction(y1, dy)),
-                )
+                tuple((Fraction(x, dx), Fraction(y, dy)) for x, y in zip(key[:m], key[m:]))
             )
-            arc = MonotoneArc._trusted(INC if y1 > y0 else DEC, homeo)
+            arc = MonotoneArc._trusted(INC if key[-1] > key[m] else DEC, homeo)
             out.append(Branch(arc, prov))
         return tuple(out)
 
 
 class BranchFamily:
-    """The level-k branches, deduplicated as point sets.
+    """The level-k branches, deduplicated as point sets and held on their
+    `_Lattice`.  `branches` are built on first access; the length never
+    builds them."""
 
-    A family is given by its `Branch` objects or, when every arc is
-    affine, by a `_Lattice`.  A lattice family builds its `branches` on
-    first access; its length never builds them.
-    """
-
-    def __init__(
-        self,
-        level: int,
-        branches: Sequence[Branch] = (),
-        lattice: Optional[_Lattice] = None,
-    ):
+    def __init__(self, level: int, lattice: _Lattice):
         self.level = level
         self._lattice = lattice
-        self._branches = None if lattice is not None else tuple(branches)
+        self._branches: Optional[tuple[Branch, ...]] = None
 
     def __len__(self) -> int:
-        if self._branches is None:
-            return len(self._lattice.keys)
-        return len(self._branches)
+        return len(self._lattice.keys)
 
     @property
     def branches(self) -> tuple[Branch, ...]:
@@ -117,16 +108,21 @@ def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
     """
     if f.range != UNIT or g.range != UNIT:
         raise InvalidFamilyError("branch families need onto maps of [0,1]")
-    rel = param_graph(f, g)
-    branches = []
-    for arc in rel.arcs:
+    pts = []
+    for arc in param_graph(f, g).arcs:
         if arc.kind not in (INC, DEC):
             raise InvalidFamilyError(
                 "parameterized curve has a flat or vertical arc; "
                 "no branch family exists"
             )
-        branches.append(Branch(arc))
-    return BranchFamily(1, tuple(branches))
+        pts.append(arc.homeo.breakpoints)
+    dx = math.lcm(*(x.denominator for p in pts for x, _ in p))
+    dy = math.lcm(*(y.denominator for p in pts for _, y in p))
+    keys = [
+        tuple(_on_lattice(x, dx) for x, _ in p) + tuple(_on_lattice(y, dy) for _, y in p)
+        for p in pts
+    ]
+    return BranchFamily(1, _Lattice(dx, dy, keys, [None] * len(keys)))
 
 
 def chain(a: Branch, b: Branch, provenance=None) -> Optional[Branch]:
@@ -138,126 +134,174 @@ def chain(a: Branch, b: Branch, provenance=None) -> Optional[Branch]:
     return Branch(_compose_strict(a.arc.homeo, b.arc.homeo, z), provenance)
 
 
-def _lattice_of(fam: BranchFamily) -> Optional[_Lattice]:
-    """The family on its lattice, or None when some arc is not affine."""
-    if fam._lattice is not None:
-        return fam._lattice
-    pts = [b.arc.homeo.breakpoints for b in fam.branches]
-    if any(len(p) != 2 for p in pts):
-        return None
-    dx = math.lcm(*(x.denominator for p in pts for x, _ in p))
-    dy = math.lcm(*(y.denominator for p in pts for _, y in p))
-    keys = [
-        (_on_lattice(x0, dx), _on_lattice(x1, dx), _on_lattice(y0, dy), _on_lattice(y1, dy))
-        for (x0, y0), (x1, y1) in pts
-    ]
-    return _Lattice(dx, dy, keys, [b.provenance for b in fam.branches])
+def _slopes(key: tuple[int, ...], dx: int, dy: int) -> tuple[tuple[int, int], ...]:
+    """Per segment of the arc with this key over (dx, dy), its slope as the
+    ratio (num, den), not reduced; den > 0, because x increases along a
+    key."""
+    m = len(key) // 2
+    return tuple(
+        ((key[m + k + 1] - key[m + k]) * dx, (key[k + 1] - key[k]) * dy) for k in range(m - 1)
+    )
 
 
-def _ratio(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms with a positive denominator."""
-    g = math.gcd(num, den)
-    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+def _lattice_for(d: int, shared: int, slopes) -> int:
+    """The least multiple of d on which every slope num/den, taken from the
+    shared lattice 1/shared, maps integers to integers."""
+    return math.lcm(d, *(shared * den // math.gcd(num, shared * den) for num, den in slopes))
+
+
+def _exact(num: int, den: int) -> int:
+    """num/den, which must be an integer: a remainder raises, it never
+    rounds."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("chained breakpoint is off the integer lattice")
+    return quo
+
+
+def _on_shared_axis(ins, outs, slopes, s_in: int, m_out: int, shared: int, n_out: int):
+    """An arc as a function of Z on the shared axis, with Z = ins*s_in and
+    value outs*m_out over n_out: its breakpoints in Z, increasing, and per
+    segment (w, c) with value w + Z*c, where c = n_out*num / (shared*den)
+    for the segment's slope num/den."""
+    pieces = []
+    for k, (num, den) in enumerate(slopes):
+        c = _exact(n_out * num, shared * den)
+        pieces.append((outs[k] * m_out - ins[k] * s_in * c, c))
+    zs = [v * s_in for v in ins]
+    if zs[0] > zs[-1]:
+        zs.reverse()
+        pieces.reverse()
+    return zs, pieces
+
+
+def _value(zs: list[int], pieces: list[tuple[int, int]], z: int) -> int:
+    w, c = pieces[min(bisect.bisect_right(zs, z), len(pieces)) - 1]
+    return w + z * c
+
+
+def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
+    """The key of arc b after arc a over the overlap [zlo, zhi]: its
+    breakpoints are the overlap's ends and the breakpoints of a and b
+    inside it, x from a^{-1} and y from b, with collinear ones merged."""
+    zs = sorted({zlo, zhi, *(z for z in za if zlo < z < zhi), *(z for z in zb if zlo < z < zhi)})
+    pts = [(_value(za, fa, z), _value(zb, fb, z)) for z in zs]
+    if pts[0][0] > pts[-1][0]:
+        pts.reverse()
+    pts = _merge_collinear(pts)
+    return tuple(x for x, _ in pts) + tuple(y for _, y in pts)
 
 
 def _reduced(out: dict, nx: int, ny: int, level: int) -> BranchFamily:
     """The family of the keys in `out` over nx, ny, divided down to the
     least common denominators."""
     gx, gy = nx, ny
-    for u, v, y0, y1 in out:
+    for key in out:
         if gx == 1 and gy == 1:
             break
-        gx = math.gcd(gx, u, v)
-        gy = math.gcd(gy, y0, y1)
+        m = len(key) // 2
+        gx, gy = math.gcd(gx, *key[:m]), math.gcd(gy, *key[m:])
     keys = list(out)
     if gx != 1 or gy != 1:
-        keys = [(u // gx, v // gx, y0 // gy, y1 // gy) for u, v, y0, y1 in keys]
-    lattice = _Lattice(nx // gx, ny // gy, keys, list(out.values()))
-    return BranchFamily(level, lattice=lattice)
+        keys = [
+            tuple(v // gx for v in key[: len(key) // 2]) + tuple(v // gy for v in key[len(key) // 2 :])
+            for key in keys
+        ]
+    return BranchFamily(level, _Lattice(nx // gx, ny // gy, keys, list(out.values())))
 
 
-def _next_family_lattice(
-    base: _Lattice, fam: _Lattice, level: int, cap_arcs: int | None
-) -> BranchFamily:
-    """Chain every level-1 arc through every level-k arc in integers.
-
-    The overlap z runs on the shared axis (level-1 y, level-k x) over
-    L = lcm(base.dy, fam.dx).  Level-1 arc a has inverse slope p_a/q_a and
-    level-k arc b slope p_b/q_b, so over nx = lcm(base.dx, L*q_a ...) and
-    ny = lcm(fam.dy, L*q_b ...) each chained endpoint is an exact integer,
-    affine in the integer Z = z*L.  Keys are deduplicated over (nx, ny),
-    then divided down to the level's least common denominators, which
-    keeps them canonical: int dedup is exactly point-set dedup.
-    """
-    shared = math.lcm(base.dy, fam.dx)
-    sa, sb = shared // base.dy, shared // fam.dx
-    inv_a = [_ratio((x1 - x0) * base.dy, (y1 - y0) * base.dx) for x0, x1, y0, y1 in base.keys]
-    slope_b = [_ratio((y1 - y0) * fam.dx, (x1 - x0) * fam.dy) for x0, x1, y0, y1 in fam.keys]
-    nx = math.lcm(base.dx, *(shared * q for _, q in inv_a))
-    ny = math.lcm(fam.dy, *(shared * q for _, q in slope_b))
-    mx, my = nx // base.dx, ny // fam.dy
-    # level-1 arc i maps Z on its range to x = u0 + Z*ca over nx
-    lefts = []
-    for i, ((x0, _, y0, y1), (p, q)) in enumerate(zip(base.keys, inv_a)):
-        ca = nx // (shared * q) * p
-        rlo, rhi = sorted((y0 * sa, y1 * sa))
-        full = rlo <= 0 and rhi >= shared  # covers every possible domain
-        lefts.append((i, x0 * mx - y0 * sa * ca, ca, rlo, rhi, full))
-    limit = math.inf if cap_arcs is None else cap_arcs
-    out: dict = {}
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        for j, ((x0, x1, y0, y1), (p, q)) in enumerate(zip(fam.keys, slope_b)):
-            # level-k arc j maps Z on its domain to y = w0 + Z*cb over ny
-            cb = ny // (shared * q) * p
-            blo, bhi = x0 * sb, x1 * sb
-            w0, yb0, yb1 = y0 * my - blo * cb, y0 * my, y1 * my
-            for i, u0, ca, rlo, rhi, full in lefts:
-                if full:
-                    zlo, zhi, w_lo, w_hi = blo, bhi, yb0, yb1
-                else:
-                    zlo = rlo if rlo > blo else blo
-                    zhi = rhi if rhi < bhi else bhi
-                    if zlo >= zhi:
-                        continue
-                    w_lo, w_hi = w0 + zlo * cb, w0 + zhi * cb
-                u, v = u0 + zlo * ca, u0 + zhi * ca
-                key = (u, v, w_lo, w_hi) if ca > 0 else (v, u, w_hi, w_lo)
-                if key not in out:
-                    out[key] = (i, j)
-                    if len(out) > limit:
-                        raise ResourceError(
-                            f"branch family exceeds cap of {cap_arcs} arcs",
-                            partial=_reduced(out, nx, ny, level),
-                        )
-        return _reduced(out, nx, ny, level)
-    finally:
-        if gc_was_on:
-            gc.enable()
+def _over_cap(out: dict, nx: int, ny: int, level: int, cap_arcs: int) -> ResourceError:
+    return ResourceError(
+        f"branch family exceeds cap of {cap_arcs} arcs", partial=_reduced(out, nx, ny, level)
+    )
 
 
 def next_family(
     base: BranchFamily, fam: BranchFamily, cap_arcs: int | None = None
 ) -> BranchFamily:
-    """Level k+1 from the level-1 and level-k families, deduplicated."""
+    """Level k+1 from the level-1 and level-k families, deduplicated.
+
+    Every level-1 arc a is chained through every level-k arc b in
+    integers.  The overlap runs on the shared axis (level-1 y, level-k x)
+    as the integer Z = z*L, L = lcm(base.dy, fam.dx).  nx is the least
+    multiple of base.dx on which every segment of every a^{-1} maps the
+    integers Z to integers, and ny likewise for fam.dy and every segment
+    of every b (`_lattice_for`).  So each chained breakpoint is an exact
+    integer over (nx, ny), affine in Z segment by segment.  A pair of
+    two-point arcs is chained in closed form, any other pair by
+    `_chained_key`.  Keys are deduplicated over (nx, ny), then divided down
+    to the level's least common denominators, which keeps them canonical:
+    int dedup is exactly point-set dedup.
+    """
     if base.level != 1:
         raise InvalidFamilyError("first argument must be the level-1 family")
-    lat_a, lat_b = _lattice_of(base), _lattice_of(fam)
-    if lat_a is not None and lat_b is not None:
-        return _next_family_lattice(lat_a, lat_b, fam.level + 1, cap_arcs)
+    lat_a, lat_b = base._lattice, fam._lattice
+    level = fam.level + 1
+    shared = math.lcm(lat_a.dy, lat_b.dx)
+    sa, sb = shared // lat_a.dy, shared // lat_b.dx
+    # a^{-1} has the reciprocal slopes of a
+    inv_a = [[(den, num) for num, den in _slopes(key, lat_a.dx, lat_a.dy)] for key in lat_a.keys]
+    nx = _lattice_for(lat_a.dx, shared, (s for sl in inv_a for s in sl))
+    ny = _lattice_for(
+        lat_b.dy, shared, (s for key in lat_b.keys for s in _slopes(key, lat_b.dx, lat_b.dy))
+    )
+    mx, my = nx // lat_a.dx, ny // lat_b.dy
+    rows = []
+    for i, (key, sl) in enumerate(zip(lat_a.keys, inv_a)):
+        m = len(key) // 2
+        rows.append((i, *_on_shared_axis(key[m:], key[:m], sl, sa, mx, shared, nx)))
+    # two-point level-1 arc i maps Z on its range to x = u0 + Z*ca over nx
+    lefts = []
+    for i, (rlo, rhi), ((u0, ca),) in (r for r in rows if len(r[1]) == 2):
+        full = rlo <= 0 and rhi >= shared  # covers every possible domain
+        lefts.append((i, u0, ca, rlo, rhi, full))
+    bends = [r for r in rows if len(r[1]) > 2]
+    limit = math.inf if cap_arcs is None else cap_arcs
     out: dict = {}
-    for i, a in enumerate(base.branches):
-        for j, b in enumerate(fam.branches):
-            c = chain(a, b, provenance=(i, j))
-            if c is not None:
-                out.setdefault(c.arc.key(), c)
-        if cap_arcs is not None and len(out) > cap_arcs:
-            raise ResourceError(
-                f"branch family exceeds cap of {cap_arcs} arcs",
-                partial=BranchFamily(fam.level + 1, tuple(out.values())),
-            )
-    return BranchFamily(fam.level + 1, tuple(out.values()))
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        for j, arc in enumerate(lat_b.keys):
+            if len(arc) == 4:
+                # two-point level-k arc j maps Z on its domain to y = w0 + Z*cb over ny
+                x0, x1, y0, y1 = arc
+                cb = _exact(ny * (y1 - y0) * lat_b.dx, shared * (x1 - x0) * lat_b.dy)
+                blo, bhi = x0 * sb, x1 * sb
+                w0, yb0, yb1 = y0 * my - blo * cb, y0 * my, y1 * my
+                for i, u0, ca, rlo, rhi, full in lefts:
+                    if full:
+                        zlo, zhi, w_lo, w_hi = blo, bhi, yb0, yb1
+                    else:
+                        zlo = rlo if rlo > blo else blo
+                        zhi = rhi if rhi < bhi else bhi
+                        if zlo >= zhi:
+                            continue
+                        w_lo, w_hi = w0 + zlo * cb, w0 + zhi * cb
+                    u, v = u0 + zlo * ca, u0 + zhi * ca
+                    key = (u, v, w_lo, w_hi) if ca > 0 else (v, u, w_hi, w_lo)
+                    if key not in out:
+                        out[key] = (i, j)
+                        if len(out) > limit:
+                            raise _over_cap(out, nx, ny, level, cap_arcs)
+                general, zb, fb = bends, (blo, bhi), ((w0, cb),)
+            else:
+                m = len(arc) // 2
+                sl = _slopes(arc, lat_b.dx, lat_b.dy)
+                zb, fb = _on_shared_axis(arc[:m], arc[m:], sl, sb, my, shared, ny)
+                general = rows
+            for i, za, fa in general:
+                zlo, zhi = max(za[0], zb[0]), min(za[-1], zb[-1])
+                if zlo >= zhi:
+                    continue
+                key = _chained_key(za, fa, zb, fb, zlo, zhi)
+                if key not in out:
+                    out[key] = (i, j)
+                    if len(out) > limit:
+                        raise _over_cap(out, nx, ny, level, cap_arcs)
+        return _reduced(out, nx, ny, level)
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 def branch_families(

@@ -110,7 +110,7 @@ def cmd_commute_check(args) -> int:
 def cmd_branches(args) -> int:
     f = parse_family(args.f) if args.f else parse_family(f"tent:{args.m}")
     g = parse_family(args.g) if args.g else parse_family(f"tent:{args.n}")
-    rows = branch_counts(f, g, args.kmax, cap_arcs=args.cap_orbits)
+    rows = branch_counts(f, g, args.kmax, cap_arcs=args.cap_arcs)
     _write_csv(
         _out_dir(args) / "branches.csv",
         ["k", "count", "log_growth"],
@@ -144,7 +144,7 @@ def cmd_horseshoe(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    report = bracket_theorem_main(args.n, args.m, args.kmax, cap_arcs=args.cap_orbits)
+    report = bracket_theorem_main(args.n, args.m, args.kmax, cap_arcs=args.cap_arcs)
     _write_json(
         _out_dir(args) / "bracket.json",
         {
@@ -230,10 +230,14 @@ def cmd_appendix(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """The flags every subcommand takes; the parser itself is kept in the
+    namespace so that usage errors found after parsing print its usage."""
     p.add_argument("--out", default="plent-out", help="artifact directory")
     p.add_argument("--config", default=None, help="JSON config file with defaults")
     p.add_argument("--cap-breakpoints", type=int, default=10**6, dest="cap_breakpoints")
     p.add_argument("--cap-orbits", type=int, default=200_000, dest="cap_orbits")
+    p.add_argument("--cap-arcs", type=int, default=10**6, dest="cap_arcs")
+    p.set_defaults(parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,10 +338,11 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
     return ap.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
-def _require_maps(ap: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _require_maps(args: argparse.Namespace) -> None:
     """A map is a usage error to leave out where it is used: each map of
     `branches` needs its spec or its tent parameter, and --g is needed
-    wherever the second map is used."""
+    wherever the second map is used.  The error shows the subcommand's
+    usage."""
     if args.command == "branches":
         missing = [
             f"--{spec} or --{param}"
@@ -345,18 +350,18 @@ def _require_maps(ap: argparse.ArgumentParser, args: argparse.Namespace) -> None
             if not getattr(args, spec) and getattr(args, param) is None
         ]
         if missing:
-            ap.error(f"branches needs {' and '.join(missing)}")
+            args.parser.error(f"branches needs {' and '.join(missing)}")
         return
     mode, system = getattr(args, "mode", "graph"), getattr(args, "system", "shift")
     if getattr(args, "g", None) is None and (mode != "graph" or system == "diag"):
         used = f"--mode {mode}" if mode != "graph" else f"--system {system}"
-        ap.error(f"{args.command} {used} needs the second map --g")
+        args.parser.error(f"{args.command} {used} needs the second map --g")
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = _apply_config(ap, list(sys.argv[1:] if argv is None else argv))
-    _require_maps(ap, args)
+    _require_maps(args)
     try:
         return args.fn(args)
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises

@@ -293,20 +293,6 @@ def fiber_intervals(rel: PLRelation, x: RatLike) -> list[Interval]:
 def _compose_strict(r: PLMap, s: PLMap, overlap: Interval) -> MonotoneArc:
     """The arc of s o r over `overlap`, the nondegenerate intersection of
     the range of the strictly monotone r with the domain of s."""
-    if len(r.breakpoints) == 2 and len(s.breakpoints) == 2:
-        # affine-through-affine chains reduce to pure rational arithmetic,
-        # which dominates the runtime of large mixed branch families
-        (xr0, yr0), (xr1, yr1) = r.breakpoints
-        slope_r = (yr1 - yr0) / (xr1 - xr0)
-        u = xr0 + (overlap.lo - yr0) / slope_r
-        v = xr0 + (overlap.hi - yr0) / slope_r
-        lo, hi = (u, v) if u <= v else (v, u)
-        (xs0, ys0), (xs1, ys1) = s.breakpoints
-        slope_s = (ys1 - ys0) / (xs1 - xs0)
-        za, zb = (overlap.lo, overlap.hi) if slope_r > 0 else (overlap.hi, overlap.lo)
-        return MonotoneArc.from_map(
-            PLMap([(lo, ys0 + slope_s * (za - xs0)), (hi, ys0 + slope_s * (zb - xs0))])
-        )
     rinv = r.inverse()
     xa, xb = rinv(overlap.lo), rinv(overlap.hi)
     rp = r.restrict(min(xa, xb), max(xa, xb))

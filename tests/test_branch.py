@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from plent.blocks import unit_copy
 from plent.errors import InvalidFamilyError, ResourceError
 from plent.plmap import Interval
-from plent.families import plateau_map, tent
-from plent.relation import param_graph, rel_equals, rel_power
+from plent.families import appendix_pair, block_interval, parse_family, plateau_map, tent
+from plent.relation import IsolatedPointWarning, param_graph, rel_equals, rel_power
 import plent.branch
 from plent.branch import (
     branch_counts,
@@ -141,3 +142,50 @@ def test_branch_order_and_provenance_are_pinned(f, g, k, digest):
     fam = branch_families(tent(f), tent(g), k)[-1]
     pairs = repr([(b.arc.key(), b.provenance) for b in fam.branches])
     assert hashlib.sha256(pairs.encode()).hexdigest() == digest
+
+
+def _appendix_block(k, i):
+    """Block i of the k-th pair of the dyadic-block system 2,5,2,5, s = 2,
+    rescaled to [0,1]."""
+    f, g = appendix_pair(k, [2, 5, 2, 5], 2, _check=False)
+    return unit_copy(f, block_interval(i)), unit_copy(g, block_interval(i))
+
+
+APPENDIX_BLOCKS = [(k, i) for k in (1, 2, 3) for i in range(1, k + 3)]
+
+
+@pytest.mark.filterwarnings("ignore", category=IsolatedPointWarning)
+@pytest.mark.parametrize("k, i", APPENDIX_BLOCKS, ids=[f"k{k}-block{i}" for k, i in APPENDIX_BLOCKS])
+def test_appendix_block_families_equal_chained_reference(k, i):
+    f, g = _appendix_block(k, i)
+    fams = branch_families(f, g, 4)
+    assert [{b.arc.key() for b in fam.branches} for fam in fams] == _reference_keys(f, g, 4)
+
+
+@pytest.mark.parametrize(
+    "f, g", [("tent:3", "gfold:5"), ("gfold:5", "gfold:7"), ("gfold:7", "slope:3/2"), ("id", "gfold:7")]
+)
+def test_multi_breakpoint_families_equal_chained_reference(f, g):
+    f, g = parse_family(f), parse_family(g)
+    assert any(len(b.arc.homeo.breakpoints) > 2 for b in initial_branches(f, g).branches)
+    fams = branch_families(f, g, 4)
+    assert [{b.arc.key() for b in fam.branches} for fam in fams] == _reference_keys(f, g, 4)
+
+
+@pytest.mark.parametrize("f, g, cap", [("appendix", None, 100), ("gfold:5", "gfold:7", 50)])
+def test_cap_of_a_mixed_family_fires_at_the_first_arc_over_it(f, g, cap):
+    f, g = _appendix_block(2, 3) if f == "appendix" else (parse_family(f), parse_family(g))
+    with pytest.raises(ResourceError) as err:
+        branch_families(f, g, 4, cap_arcs=cap)
+    assert len(err.value.partial) == cap + 1
+
+
+def test_appendix_block_counts_build_no_branch_objects_and_chain_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("branch counts built Branch objects or chained in Fractions")
+
+    f, g = _appendix_block(2, 3)
+    monkeypatch.setattr(plent.branch._Lattice, "branches", refuse)
+    monkeypatch.setattr(plent.branch, "chain", refuse)
+    rows = branch_counts(f, g, 4)
+    assert [count for _, count, _ in rows] == [7, 32, 157, 782]

@@ -220,5 +220,22 @@ def test_branches_needs_both_maps(tmp_path, argv, missing, capsys):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, *argv)
     assert exc.value.code == 2
-    assert missing in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert missing in err
+    assert err.startswith("usage: plent branches ")
     assert not (tmp_path / "failure.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["branches", "--n", "3", "--m", "2", "--kmax", "4"],
+        ["bracket", "--n", "3", "--m", "2", "--kmax", "4"],
+    ],
+)
+def test_arc_cap_is_cap_arcs_not_cap_orbits(tmp_path, argv):
+    assert run(tmp_path / "orbits", *argv, "--cap-orbits", "20") == 0
+    assert run(tmp_path / "arcs", *argv, "--cap-arcs", "20") == 2
+    failure = read_json(tmp_path / "arcs", "failure.json")
+    assert failure["error"] == "ResourceError"
+    assert "cap of 20 arcs" in failure["message"]

@@ -1,7 +1,7 @@
-"""Every module of the package, except its re-exporting __init__.py, uses
-each name it imports, and every private helper of the package is used
-somewhere.  No linter ships with the toolchain, so these are stdlib
-``ast`` checks."""
+"""Every module of the package, except its re-exporting __init__.py, and
+every test module use each name they import, and every private helper of
+the package is used somewhere.  No linter ships with the toolchain, so
+these are stdlib ``ast`` checks."""
 
 import ast
 from collections import Counter
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "plent"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "plent"
 
 
 def _annotations(tree: ast.AST):
@@ -57,7 +58,12 @@ def test_checker_sees_unused_and_quoted_names():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    [
+        *sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+        *sorted(TESTS.glob("*.py")),
+    ],
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
 )
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -9,7 +9,7 @@ import pytest
 
 from plent.errors import DepthExhaustedError, LiftingError
 from plent.families import appendix_pair, tent
-from plent.plmap import compose, iterate, map_equals
+from plent.plmap import compose, map_equals
 from plent.relation import param_graph, rel_equals
 from plent.invlim import (
     DiagonalSystem,

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from plent.errors import ParseError
-from plent.plmap import Interval, UNIT, constant_map, map_equals
+from plent.plmap import UNIT, constant_map, map_equals
 from plent.families import plateau_map, tent
-from plent.relation import MonotoneArc, graph_of, inverse_rel, param_graph, rel_equals
+from plent.relation import graph_of, inverse_rel, param_graph, rel_equals
 from plent.serialize import (
     arc_from_json,
     arc_to_json,
