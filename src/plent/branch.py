@@ -22,7 +22,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidFamilyError, ResourceError
-from .plmap import Interval, PLMap, UNIT, _merge_collinear, _on_lattice
+from .plmap import (
+    Interval,
+    PLMap,
+    UNIT,
+    _exact,
+    _lattice_for,
+    _merge_collinear,
+    _scaled,
+)
 from .relation import INC, DEC, MonotoneArc, PLRelation, _compose_strict, param_graph
 
 
@@ -116,12 +124,9 @@ def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
                 "no branch family exists"
             )
         pts.append(arc.homeo.breakpoints)
-    dx = math.lcm(*(x.denominator for p in pts for x, _ in p))
-    dy = math.lcm(*(y.denominator for p in pts for _, y in p))
-    keys = [
-        tuple(_on_lattice(x, dx) for x, _ in p) + tuple(_on_lattice(y, dy) for _, y in p)
-        for p in pts
-    ]
+    dx, xs = _scaled(*([x for x, _ in p] for p in pts))
+    dy, ys = _scaled(*([y for _, y in p] for p in pts))
+    keys = [tuple(kx + ky) for kx, ky in zip(xs, ys)]
     return BranchFamily(1, _Lattice(dx, dy, keys, [None] * len(keys)))
 
 
@@ -142,21 +147,6 @@ def _slopes(key: tuple[int, ...], dx: int, dy: int) -> tuple[tuple[int, int], ..
     return tuple(
         ((key[m + k + 1] - key[m + k]) * dx, (key[k + 1] - key[k]) * dy) for k in range(m - 1)
     )
-
-
-def _lattice_for(d: int, shared: int, slopes) -> int:
-    """The least multiple of d on which every slope num/den, taken from the
-    shared lattice 1/shared, maps integers to integers."""
-    return math.lcm(d, *(shared * den // math.gcd(num, shared * den) for num, den in slopes))
-
-
-def _exact(num: int, den: int) -> int:
-    """num/den, which must be an integer: a remainder raises, it never
-    rounds."""
-    quo, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("chained breakpoint is off the integer lattice")
-    return quo
 
 
 def _on_shared_axis(ins, outs, slopes, s_in: int, m_out: int, shared: int, n_out: int):

@@ -144,7 +144,9 @@ def cmd_horseshoe(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    report = bracket_theorem_main(args.n, args.m, args.kmax, cap_arcs=args.cap_arcs)
+    report = bracket_theorem_main(
+        args.n, args.m, args.kmax, cap_arcs=args.cap_arcs, cap_breakpoints=args.cap_breakpoints
+    )
     _write_json(
         _out_dir(args) / "bracket.json",
         {

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .branch import branch_counts
 from .errors import CompositionError, ResourceError
-from .plmap import Interval, _on_lattice, as_rat, iterate
+from .plmap import Interval, _lattice_sweep, _on_lattice, as_rat, compose
 from .relation import (
     VER,
     PLRelation,
@@ -296,22 +296,6 @@ class HorseshoeCert:
         return math.log(self.n)
 
 
-def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]:
-    """Exact values at the increasing points (all inside [xs[0], xs[-1]]) of
-    the PL map through (xs[i], ys[i]); the lattice makes each an integer."""
-    out = []
-    j = 1
-    for x in points:
-        while xs[j] < x:
-            j += 1
-        x0, y0 = xs[j - 1], ys[j - 1]
-        q, r = divmod((ys[j] - y0) * (x - x0), xs[j] - x0)
-        if r:
-            raise AssertionError("horseshoe lattice misses an image endpoint")
-        out.append(y0 + q)
-    return out
-
-
 def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> int:
     """One denominator D for the whole check: a multiple of every interval
     endpoint's and breakpoint's denominator and of den(slope) * Dx for every
@@ -518,12 +502,15 @@ def bracket_theorem_main(
     m: int,
     k_max: int,
     cap_arcs: int | None = None,
+    cap_breakpoints: int | None = None,
 ) -> BracketReport:
     """Squeeze the entropy of the curve {(T_m(t), T_n(t))} around log max(n,m).
 
     Lower bounds come from exactly verified floor((max^k + 1)/2)-horseshoes
     of the iterated curve; upper bounds from deduplicated branch counts.
     The two must bracket the target with the (log(k+1))/k gap at every k.
+    The k-th curve is built from the (k-1)-th iterates, one `compose` per
+    map, each capped at `cap_breakpoints`.
     """
     if math.gcd(n, m) != 1:
         raise CompositionError("tent parameters must be coprime")
@@ -535,8 +522,16 @@ def bracket_theorem_main(
     big = max(n, m)
     target = math.log(big)
 
+    fk, gk = f, g
+
     def power(k: int) -> PLRelation:
-        return param_graph(iterate(f, k), iterate(g, k))
+        # called for k = 1, 2, ... in turn, so (fk, gk) holds the (k-1)-th
+        # iterates and only the latest pair is kept
+        nonlocal fk, gk
+        if k > 1:
+            fk = compose(f, fk, cap_breakpoints=cap_breakpoints)
+            gk = compose(g, gk, cap_breakpoints=cap_breakpoints)
+        return param_graph(fk, gk)
 
     certs = iterate_horseshoe_bound(
         None, k_max, power=power, candidates=lambda k: [(big**k + 1) // 2]

@@ -1,7 +1,13 @@
 """Exact piecewise-linear self-maps of the unit interval.
 
-All coordinates are `fractions.Fraction`; nothing in this module touches
-floating point except the entropy estimates at the very end, which report
+Maps hold their breakpoints as `fractions.Fraction`.  Composition runs in
+integer arithmetic: the breakpoints of both maps are put on integer
+lattices, one per axis, chosen so that every breakpoint and value of the
+result is an exact integer, and the `Fraction` map is built once at the
+end.  The lattice helpers here (`_scaled`, `_lattice_for`, `_exact`,
+`_lattice_sweep`) serve the parameterized curve, the branch kernel and
+horseshoe verification too.  Nothing in this module touches floating
+point except the entropy estimates at the very end, which report
 logarithms of exactly computed integers.
 """
 
@@ -11,7 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     CompositionError,
@@ -263,6 +269,45 @@ def _on_lattice(q: Fraction, d: int) -> int:
     return q.numerator * (d // q.denominator)
 
 
+def _scaled(*seqs: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """The rationals of every sequence on one integer lattice 1/d, d the
+    least common denominator of them all: (d, one int list per sequence)."""
+    d = math.lcm(*(q.denominator for seq in seqs for q in seq))
+    return d, [[q.numerator * (d // q.denominator) for q in seq] for seq in seqs]
+
+
+def _lattice_for(d: int, shared: int, slopes) -> int:
+    """The least multiple of d on which every slope num/den, taken from the
+    shared lattice 1/shared, maps integers to integers."""
+    return math.lcm(d, *(shared * den // math.gcd(num, shared * den) for num, den in slopes))
+
+
+def _exact(num: int, den: int) -> int:
+    """num/den, which must be an integer: a remainder raises, it never
+    rounds."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("value is off the integer lattice")
+    return quo
+
+
+def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]:
+    """Exact values at the increasing points (all inside [xs[0], xs[-1]]) of
+    the PL map through (xs[i], ys[i]); the lattice must make each an
+    integer, a remainder raises."""
+    out = []
+    j = 1
+    for x in points:
+        while xs[j] < x:
+            j += 1
+        x0, y0 = xs[j - 1], ys[j - 1]
+        q, r = divmod((ys[j] - y0) * (x - x0), xs[j] - x0)
+        if r:
+            raise ArithmeticError("value is off the integer lattice")
+        out.append(y0 + q)
+    return out
+
+
 def identity_map(interval: Interval = UNIT) -> PLMap:
     if interval.is_point():
         raise ValueError("identity needs a nondegenerate interval")
@@ -274,26 +319,64 @@ def constant_map(interval: Interval, value: RatLike) -> PLMap:
 
 
 def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
-    """f after g (x -> f(g(x))), exact."""
-    if not f.domain.contains_interval(g.range):
+    """f after g (x -> f(g(x))), exact, in integer arithmetic.
+
+    g's x-coordinates lie on 1/gx, g's values and f's nodes on one shared
+    lattice 1/shared, f's values on 1/fy.  The breakpoints of f o g are g's own
+    and, on every sloped segment of g, the preimages of the nodes of f
+    strictly inside its range, where the value is the node's value; so f
+    is evaluated only at g's breakpoints.  The result lies on (1/nx, 1/ny),
+    the least multiples of gx and fy on which every inverse slope of g and
+    every slope of f maps the integers of 1/shared to integers (`_lattice_for`):
+    every coordinate is an exact integer, a remainder raises.
+    """
+    gpts, fpts = g.breakpoints, f.breakpoints
+    gx, (gxs,) = _scaled([x for x, _ in gpts])
+    shared, (gus, fus) = _scaled([y for _, y in gpts], [x for x, _ in fpts])
+    fy, (fys,) = _scaled([y for _, y in fpts])
+    if not (fus[0] <= min(gus) and max(gus) <= fus[-1]):
         raise CompositionError(
             f"range {g.range} of inner map not contained in domain {f.domain} of outer map"
         )
-    xs = {x for x, _ in g.breakpoints}
-    f_nodes = [x for x, _ in f.breakpoints]
-    for x0, y0, x1, y1, slope in g.segments():
-        if slope == 0:
+    gsteps = [(gxs[k + 1] - gxs[k], gus[k + 1] - gus[k]) for k in range(len(gxs) - 1)]
+    fsteps = [(fus[j + 1] - fus[j], fys[j + 1] - fys[j]) for j in range(len(fus) - 1)]
+    nx = _lattice_for(gx, shared, ((dx * shared, du * gx) for dx, du in gsteps if du))
+    ny = _lattice_for(fy, shared, ((dy * shared, du * fy) for du, dy in fsteps))
+    mx, my = nx // gx, ny // fy
+    fcs = [_exact(my * dy, du) for du, dy in fsteps]
+    last = len(fus) - 2
+
+    def f_at(u: int) -> int:
+        j = min(bisect_right(fus, u) - 1, last)
+        return fys[j] * my + (u - fus[j]) * fcs[j]
+
+    xs, ys = [], []
+    for x0, u0, (dx, du) in zip(gxs, gus, gsteps):
+        xs.append(x0 * mx)
+        ys.append(f_at(u0))
+        if not du:
             continue
-        lo, hi = min(y0, y1), max(y0, y1)
-        for node in f_nodes:
-            if lo <= node <= hi:
-                xs.add(x0 + (node - y0) / slope)
-    ordered = sorted(xs)
-    if cap_breakpoints is not None and len(ordered) > cap_breakpoints:
+        c = _exact(mx * dx, du)
+        if du > 0:
+            nodes = range(bisect_right(fus, u0), bisect_left(fus, u0 + du))
+        else:
+            nodes = range(bisect_left(fus, u0) - 1, bisect_right(fus, u0 + du) - 1, -1)
+        for j in nodes:
+            xs.append(x0 * mx + (fus[j] - u0) * c)
+            ys.append(fys[j] * my)
+    xs.append(gxs[-1] * mx)
+    ys.append(f_at(gus[-1]))
+    if cap_breakpoints is not None and len(xs) > cap_breakpoints:
         raise ResourceError(
-            f"composition would have {len(ordered)} breakpoints (cap {cap_breakpoints})"
+            f"composition would have {len(xs)} breakpoints (cap {cap_breakpoints})"
         )
-    return PLMap([(x, f(g(x))) for x in ordered])
+    if not (0 <= xs[0] and xs[-1] <= nx and 0 <= min(ys) and max(ys) <= ny) or any(
+        a >= b for a, b in zip(xs, xs[1:])
+    ):
+        raise ValueError("composed breakpoints leave the unit square or are not increasing")
+    pts = _merge_collinear(list(zip(xs, ys)))
+    yq = {y: Fraction(y, ny) for _, y in pts}  # one Fraction per distinct value
+    return PLMap._from_canonical(tuple((Fraction(x, nx), yq[y]) for x, y in pts))
 
 
 def iterate(f: PLMap, k: int, cap_breakpoints: int | None = None) -> PLMap:

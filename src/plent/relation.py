@@ -22,14 +22,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import CompositionError, UnsupportedRelationError
 from .plmap import (
     Interval,
     PLMap,
     RatLike,
+    _lattice_for,
+    _lattice_sweep,
     _merge_collinear,
+    _scaled,
     as_rat,
     compose,
     map_equals,
@@ -158,6 +161,15 @@ class MonotoneArc:
         return Interval(min(a, b), max(a, b))
 
 
+def _ends(arc: MonotoneArc) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The first and last points of the arc, x increasing: (x0, x1, y0, y1).
+    A monotone arc attains its range at its ends."""
+    if arc.kind == VER:
+        return arc.x, arc.x, arc.ys.lo, arc.ys.hi
+    (x0, y0), (x1, y1) = arc.homeo.breakpoints[0], arc.homeo.breakpoints[-1]
+    return x0, x1, y0, y1
+
+
 class PLRelation:
     """Finite union of monotone arcs, with set-level equality semantics."""
 
@@ -167,12 +179,18 @@ class PLRelation:
         seen = {}
         for arc in arcs:
             seen.setdefault(arc.key(), arc)
-        ordered = sorted(
-            seen.values(), key=lambda a: (a.dom.lo, a.dom.hi, a.ran.lo, a.ran.hi, a.kind)
-        )
-        if not ordered:
+        if not seen:
             raise ValueError("a relation needs at least one arc")
-        object.__setattr__(self, "arcs", tuple(ordered))
+        # sorted by (dom.lo, dom.hi, ran.lo, ran.hi, kind), compared as ints
+        # over one common denominator
+        unique = list(seen.values())
+        _, (x0s, x1s, y0s, y1s) = _scaled(*zip(*map(_ends, unique)))
+        keys = [
+            (x0, x1, min(y0, y1), max(y0, y1), arc.kind)
+            for x0, x1, y0, y1, arc in zip(x0s, x1s, y0s, y1s, unique)
+        ]
+        order = sorted(range(len(unique)), key=keys.__getitem__)
+        object.__setattr__(self, "arcs", tuple(unique[i] for i in order))
         object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, *a):
@@ -230,17 +248,16 @@ def inverse_rel(rel: PLRelation) -> PLRelation:
     return PLRelation([arc.inverse() for arc in rel.arcs])
 
 
-def _values_at(m: PLMap, ts: Sequence[Fraction]) -> list[Fraction]:
-    """m(t) for every t of the increasing sequence ts, in one sweep."""
-    pts = m.breakpoints
-    out = []
-    j = 0
-    for t in ts:
-        while pts[j + 1][0] < t:
-            j += 1
-        (x0, y0), (x1, y1) = pts[j], pts[j + 1]
-        out.append(y0 if t == x0 else y1 if t == x1 else y0 + (y1 - y0) * (t - x0) / (x1 - x0))
-    return out
+def _on_curve(m: PLMap, mts: list[int], d: int, ts: list[int]) -> tuple[int, list[int]]:
+    """m at every t of the increasing ts, m's breakpoints at mts, both on
+    1/d, in one integer sweep: (n, values over n), n the least multiple of
+    the denominators of m's values on which every slope of m maps 1/d to
+    integers."""
+    dy, (ys,) = _scaled([y for _, y in m.breakpoints])
+    n = _lattice_for(
+        dy, d, (((y1 - y0) * d, (t1 - t0) * dy) for t0, t1, y0, y1 in zip(mts, mts[1:], ys, ys[1:]))
+    )
+    return n, _lattice_sweep(mts, [y * (n // dy) for y in ys], ts)
 
 
 def param_graph(f: PLMap, g: PLMap) -> PLRelation:
@@ -248,26 +265,36 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
 
     This equals the graph of g o f^{-1} as a point set whenever f is onto
     its range; the arcs come out already split into monotone pieces.  Both
-    maps are evaluated once at the union of their breakpoints, and each
-    piece between joint lap boundaries becomes one arc through those
-    points.
+    maps are evaluated in integers at the union of their breakpoints, put
+    on one lattice 1/d, and each piece between joint lap boundaries (where
+    the slope sign of f or g changes) becomes one arc through those points.
     """
     if f.domain != g.domain:
         raise CompositionError("parameterized graph needs maps with equal domains")
-    ts = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
-    xs, ys = _values_at(f, ts), _values_at(g, ts)
-    cuts = set(f.lap_boundaries()) | set(g.lap_boundaries())
+    d, (fts, gts) = _scaled([x for x, _ in f.breakpoints], [x for x, _ in g.breakpoints])
+    ts = sorted({*fts, *gts})
+    nx, xs = _on_curve(f, fts, d, ts)
+    ny, ys = _on_curve(g, gts, d, ts)
+    # (slope sign of f, of g) per piece between consecutive ts
+    signs = [
+        ((x1 > x0) - (x1 < x0), (y1 > y0) - (y1 < y0))
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
+    ]
+    # one Fraction per distinct coordinate, shared by every arc through it
+    xq = {x: Fraction(x, nx) for x in set(xs)}
+    yq = {y: Fraction(y, ny) for y in set(ys)}
     arcs: list[MonotoneArc] = []
     start = 0
     for end in range(1, len(ts)):
-        if ts[end] not in cuts:
+        if end < len(signs) and signs[end] == signs[end - 1]:
             continue
         x0, x1, y0, y1 = xs[start], xs[end], ys[start], ys[end]
         if x0 == x1:
             if y0 == y1:
-                _warn_point(x0, y0, "a joint plateau in param_graph")
+                _warn_point(xq[x0], yq[y0], "a joint plateau in param_graph")
             else:
-                arcs.append(MonotoneArc.vertical(x0, Interval(min(y0, y1), max(y0, y1))))
+                span = Interval(yq[min(y0, y1)], yq[max(y0, y1)])
+                arcs.append(MonotoneArc.vertical(xq[x0], span))
         else:
             # f is strictly monotone on the piece and g monotone, so the
             # points are a valid map once ordered by x
@@ -275,8 +302,8 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
             if x1 < x0:
                 pts.reverse()
             kind = HOR if y0 == y1 else INC if (x1 > x0) == (y1 > y0) else DEC
-            homeo = PLMap._from_canonical(tuple(_merge_collinear(pts)))
-            arcs.append(MonotoneArc._trusted(kind, homeo))
+            homeo = tuple((xq[x], yq[y]) for x, y in _merge_collinear(pts))
+            arcs.append(MonotoneArc._trusted(kind, PLMap._from_canonical(homeo)))
         start = end
     return PLRelation(arcs)
 

@@ -239,3 +239,12 @@ def test_arc_cap_is_cap_arcs_not_cap_orbits(tmp_path, argv):
     failure = read_json(tmp_path / "arcs", "failure.json")
     assert failure["error"] == "ResourceError"
     assert "cap of 20 arcs" in failure["message"]
+
+
+def test_bracket_caps_the_breakpoints_of_its_iterates(tmp_path):
+    # tent(3)^4 has 82 breakpoints, over the cap of 50
+    argv = ["bracket", "--n", "3", "--m", "2", "--kmax", "6"]
+    assert run(tmp_path, *argv, "--cap-breakpoints", "50") == 2
+    failure = read_json(tmp_path, "failure.json")
+    assert failure["error"] == "ResourceError"
+    assert "(cap 50)" in failure["message"]

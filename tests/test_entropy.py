@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from plent.plmap import Interval, PLMap, iterate, merge_intervals
+from plent.plmap import Interval, PLMap, compose, iterate, merge_intervals
 from plent.families import plateau_map, tent
 from plent.relation import (
     MonotoneArc,
@@ -498,3 +498,21 @@ def _cert_digest(report):
 )
 def test_bracket_certificates_are_unchanged(n, m, k, digest):
     assert _cert_digest(bracket_theorem_main(n, m, k)) == digest
+
+
+def test_bracket_builds_each_power_from_the_previous_one(monkeypatch):
+    import plent.entropy
+    import plent.plmap
+
+    calls = []
+
+    def counting_compose(f, g, cap_breakpoints=None):
+        calls.append(len(g.breakpoints))
+        return compose(f, g, cap_breakpoints=cap_breakpoints)
+
+    # every name a power could reach compose through; relation's own
+    # binding serves the strong-commutation check, not the powers
+    monkeypatch.setattr(plent.entropy, "compose", counting_compose)
+    monkeypatch.setattr(plent.plmap, "compose", counting_compose)
+    bracket_theorem_main(3, 2, 6)
+    assert len(calls) == 2 * (6 - 1)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plent.errors import DomainError
+from plent.errors import DomainError, ResourceError
 from plent.plmap import (
     Interval,
     PLMap,
@@ -21,7 +21,7 @@ from plent.plmap import (
     map_equals,
     merge_intervals,
 )
-from plent.families import tent, plateau_map, slope_map
+from plent.families import parse_family, tent, plateau_map, slope_map
 
 
 # -- intervals ---------------------------------------------------------------
@@ -213,3 +213,64 @@ def test_lap_count_submultiplicative(f, g):
 @settings(max_examples=10, deadline=None)
 def test_map_equals_is_reflexive_on_rebuilt_maps(f):
     assert map_equals(f, PLMap(f.breakpoints))
+
+
+# -- the integer compose against its Fraction oracle ------------------------------
+
+
+def reference_compose(f, g):
+    """compose as it was in Fraction arithmetic, kept as its oracle: the
+    breakpoints of g and the preimages of f's nodes on g's sloped
+    segments, with f(g(x)) evaluated at each."""
+    xs = {x for x, _ in g.breakpoints}
+    f_nodes = [x for x, _ in f.breakpoints]
+    for x0, y0, x1, y1, slope in g.segments():
+        if slope == 0:
+            continue
+        lo, hi = min(y0, y1), max(y0, y1)
+        for node in f_nodes:
+            if lo <= node <= hi:
+                xs.add(x0 + (node - y0) / slope)
+    return PLMap([(x, f(g(x))) for x in sorted(xs)])
+
+
+SPECS = ["tent:2", "tent:3", "sfold:3", "gfold:7", "slope:3/2", "slope:5/3", "plateau",
+         "id", "affine:1/3:2/3", "tilde:tent:3"]
+# values drawn from a few fixed points repeat often, which makes plateaus
+values = st.one_of(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)]), rationals)
+
+
+@st.composite
+def pl_maps(draw, lo=F(0), hi=F(1)):
+    """A PL map on [lo, hi] with up to 7 breakpoints, usually not onto."""
+    inner = draw(st.lists(rationals, max_size=5))
+    xs = sorted({lo, hi, *(lo + (hi - lo) * t for t in inner)})
+    return PLMap(zip(xs, draw(st.lists(values, min_size=len(xs), max_size=len(xs)))))
+
+
+@st.composite
+def sub_domain_maps(draw):
+    """A PL map on a random nondegenerate subinterval of [0,1]."""
+    a, b = sorted(draw(st.lists(rationals, min_size=2, max_size=2, unique=True)))
+    return draw(pl_maps(a, b))
+
+
+maps = st.one_of(st.sampled_from(SPECS).map(parse_family), pl_maps())
+
+
+@given(maps, st.one_of(maps, sub_domain_maps(), st.just(parse_family("block:2:tent:3"))))
+@settings(max_examples=300, deadline=None)
+def test_compose_equals_the_fraction_reference_breakpoint_for_breakpoint(f, g):
+    assert compose(f, g).breakpoints == reference_compose(f, g).breakpoints
+    # outer map restricted to the inner map's range, as arc composition uses it
+    r = g.range
+    if not r.is_point():
+        h = f.restrict(r.lo, r.hi)
+        assert compose(h, g).breakpoints == reference_compose(h, g).breakpoints
+
+
+def test_compose_checks_the_cap_on_the_breakpoint_count():
+    f, g = tent(3), iterate(tent(3), 3)  # f o g has 82 breakpoints
+    assert len(compose(f, g, cap_breakpoints=82).breakpoints) == 82
+    with pytest.raises(ResourceError, match="82 breakpoints"):
+        compose(f, g, cap_breakpoints=81)

@@ -1,6 +1,7 @@
 """Planar relations built from monotone arcs: graphs, inverses,
 compositions, and strong commutation."""
 
+import random
 import warnings
 from fractions import Fraction as F
 from itertools import product
@@ -11,6 +12,10 @@ from hypothesis import given, settings, strategies as st
 from plent.errors import CompositionError, UnsupportedRelationError
 from plent.plmap import Interval, PLMap, UNIT, compose, constant_map, iterate
 from plent.relation import (
+    DEC,
+    HOR,
+    INC,
+    VER,
     IsolatedPointWarning,
     MonotoneArc,
     PLRelation,
@@ -75,6 +80,36 @@ def test_rel_equals_ignores_arc_subdivision():
 def test_rel_union_deduplicates():
     g = graph_of(tent(3))
     assert rel_equals(rel_union(g, g), g)
+
+
+def _random_arc(rng):
+    """An arc of a random kind over a small denominator, so that equal
+    domains, equal ranges and duplicate arcs are common."""
+    den = rng.choice([2, 3, 4, 6])
+    a, b = sorted(F(v, den) for v in rng.sample(range(den + 1), 2))
+    c, d = sorted(F(v, den) for v in rng.sample(range(den + 1), 2))
+    kind = rng.choice([INC, DEC, HOR, VER])
+    if kind == VER:
+        return MonotoneArc.vertical(a, Interval(c, d))
+    if kind == HOR:
+        return MonotoneArc(HOR, homeo=PLMap([(a, c), (b, c)]))
+    pts = [(a, c), (b, d)] if kind == INC else [(a, d), (b, c)]
+    if rng.random() < 0.5:  # a bend keeps the ends, so it ties on the sort key
+        pts.insert(1, ((a + b) / 2, (c + d) / 2 + (d - c) / 4 * (1 if kind == INC else -1)))
+    return MonotoneArc(kind, homeo=PLMap(pts))
+
+
+def test_arc_order_is_the_fraction_key_order():
+    rng = random.Random(90210)
+    for _ in range(400):
+        arcs = [_random_arc(rng) for _ in range(rng.randint(1, 12))]
+        seen = {}
+        for arc in arcs:
+            seen.setdefault(arc.key(), arc)
+        want = sorted(
+            seen.values(), key=lambda a: (a.dom.lo, a.dom.hi, a.ran.lo, a.ran.hi, a.kind)
+        )
+        assert [id(a) for a in PLRelation(arcs).arcs] == [id(a) for a in want]
 
 
 # -- inverse and composition -----------------------------------------------------
