@@ -50,6 +50,16 @@ def _positive_rat(text: str) -> Fraction:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _positive_rat_list(text: str) -> list[Fraction]:
     return [_positive_rat(t) for t in text.split(",")]
 
@@ -236,9 +246,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     namespace so that usage errors found after parsing print its usage."""
     p.add_argument("--out", default="plent-out", help="artifact directory")
     p.add_argument("--config", default=None, help="JSON config file with defaults")
-    p.add_argument("--cap-breakpoints", type=int, default=10**6, dest="cap_breakpoints")
-    p.add_argument("--cap-orbits", type=int, default=200_000, dest="cap_orbits")
-    p.add_argument("--cap-arcs", type=int, default=10**6, dest="cap_arcs")
+    p.add_argument("--cap-breakpoints", type=_positive_int, default=10**6, dest="cap_breakpoints")
+    p.add_argument("--cap-orbits", type=_positive_int, default=200_000, dest="cap_orbits")
+    p.add_argument("--cap-arcs", type=_positive_int, default=10**6, dest="cap_arcs")
     p.set_defaults(parser=p)
 
 
@@ -257,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--f", default=None)
     p.add_argument("--g", default=None)
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_positive_int, default=6)
     _add_common(p)
     p.set_defaults(fn=cmd_branches)
 
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", default=None)
     p.add_argument("--mode", choices=["graph", "param", "invcomp"], default="param")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_positive_int, default=1)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_horseshoe)
@@ -273,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", help="entropy bracket for a coprime tent pair")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_positive_int, default=6)
     _add_common(p)
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("entropy-map", help="lap-growth entropy of a PL map")
     p.add_argument("--f", required=True)
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=_positive_int, default=6)
     _add_common(p)
     p.set_defaults(fn=cmd_entropy_map)
 
@@ -287,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", default=None)
     p.add_argument("--mode", choices=["graph", "param", "invcomp"], default="param")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_positive_int, default=1)
     p.add_argument("--eps", type=_positive_rat_list, default=[Fraction(1, 8), Fraction(1, 16)])
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--nmax", type=_positive_int, default=4)
     p.add_argument("--grid", type=_positive_rat, default=Fraction(1, 32))
     _add_common(p)
     p.set_defaults(fn=cmd_entropy_rel)
@@ -298,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=["shift", "diag"], default="shift")
     p.add_argument("--f", required=True)
     p.add_argument("--g", default=None)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--nmax", type=int, default=10)
+    p.add_argument("--depth", type=_positive_int, default=8)
+    p.add_argument("--nmax", type=_positive_int, default=10)
     p.add_argument("--eps", type=_positive_rat, default=Fraction(1, 16))
     p.add_argument("--grid", type=_positive_rat, default=Fraction(1, 256))
     _add_common(p)
@@ -308,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("appendix", help="blockwise bounds for the dyadic-block system")
     p.add_argument("--s", default="2")
     p.add_argument("--nseq", type=_int_list, required=True)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--kbranch", type=int, default=5)
+    p.add_argument("--kmax", type=_positive_int, default=3)
+    p.add_argument("--kbranch", type=_positive_int, default=5)
     _add_common(p)
     p.set_defaults(fn=cmd_appendix)
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .branch import branch_counts
 from .errors import CompositionError, ResourceError
-from .plmap import Interval, _lattice_sweep, _on_lattice, as_rat, compose
+from .plmap import Interval, _lattice_sweep, _on_lattice, _scaled, as_rat, compose
 from .relation import (
     VER,
     PLRelation,
@@ -309,10 +309,15 @@ def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> int:
             xden.add(arc.x.denominator)
             yden.update((arc.ys.lo.denominator, arc.ys.hi.denominator))
             continue
-        for x, y in arc.homeo.breakpoints:
-            xden.add(x.denominator)
-            yden.add(y.denominator)
-        slope_den.update(slope.denominator for *_, slope in arc.homeo.segments())
+        bps = arc.homeo.breakpoints
+        dx, (xs,) = _scaled([x for x, _ in bps])
+        dy, (ys,) = _scaled([y for _, y in bps])
+        xden.add(dx)
+        yden.add(dy)
+        # the slope (y1 - y0) dx / ((x1 - x0) dy) in lowest terms
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            den = (x1 - x0) * dy
+            slope_den.add(den // math.gcd((y1 - y0) * dx, den))
     return math.lcm(math.lcm(*xden) * math.lcm(*slope_den), *yden)
 
 
@@ -416,9 +421,9 @@ def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
     The pairs are only built if the search gets past the hull."""
     points = set()
     for arc in rel.arcs:
-        points.add(arc.dom.lo)
-        points.add(arc.dom.hi)
-        if arc.kind != "ver":
+        if arc.kind == VER:
+            points.add(arc.x)
+        else:
             points.update(x for x, _ in arc.homeo.breakpoints)
     pts = sorted(points)
     hull = Interval(pts[0], pts[-1])

@@ -6,6 +6,14 @@ g_i satisfying g_i o f_{i+1} = f_i o g_{i+1}; the induced diagonal map
 drops one coordinate per application:
 
     Psi(x)_i = g_{i+1}(x_{i+1}).
+
+Diagonal steps run in integer arithmetic on a batch of points of one
+depth, held column by column on one lattice 1/d (a multiple of every
+breakpoint x-denominator of the system's maps).  Each map is evaluated at
+the sorted distinct values of a column with one sweep (`_on_curve`), every
+image is re-checked against the bonding maps the same way, and the
+lattice grows wherever a map's slopes need it.  `point_from_tip`,
+`validate_point` and `apply_diagonal` are one-point calls of that kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CompositionError, DepthExhaustedError, LiftingError
-from .plmap import PLMap, as_rat, compose, map_equals
+from .plmap import PLMap, _on_curve, _scaled, as_rat, compose, map_equals
 from .relation import PLRelation, param_graph
 from .entropy import _grid_points, separated_count
 
@@ -34,6 +42,25 @@ class TruncatedPoint:
             raise ValueError("a truncated point needs at least coordinate x_0")
 
 
+# A batch of truncated points of one depth: (d, cols), coordinate x_i of
+# point j is cols[i][j] / d.
+Batch = tuple[int, list[list[int]]]
+
+
+def _map_column(m: PLMap, d: int, col: list[int]) -> tuple[int, list[int]]:
+    """m at every entry of the column (on 1/d), one sweep over its sorted
+    distinct values: (n, the images over n)."""
+    ts = sorted(set(col))
+    n, vs = _on_curve(m, d, ts)
+    image = dict(zip(ts, vs))
+    return n, [image[t] for t in col]
+
+
+def _point(batch: Batch, j: int) -> TruncatedPoint:
+    d, cols = batch
+    return TruncatedPoint(tuple(Fraction(col[j], d) for col in cols))
+
+
 class DiagonalSystem:
     """Bonding maps f_i and diagonal maps g_i, both indexed from 1, as
     finite data: pairs[i-1] = (f_i, g_i), and the last pair repeats."""
@@ -42,6 +69,11 @@ class DiagonalSystem:
         self.pairs = tuple((f, g) for f, g in pairs)
         if not self.pairs:
             raise ValueError("a diagonal system needs at least one pair (f_1, g_1)")
+        # every batch lattice is a multiple of this, so each map can be
+        # evaluated on it
+        self._xden = math.lcm(
+            *(x.denominator for pair in self.pairs for m in pair for x, _ in m.breakpoints)
+        )
         # shift-like systems act as (x_0, ..., x_d) -> (f(x_0), x_0, ...,
         # x_{d-1}): the diagonal image's deepest coordinate is already
         # determined, so applying the map does not lose depth
@@ -76,19 +108,66 @@ class DiagonalSystem:
     # -- structure ----------------------------------------------------------
 
     def validate_point(self, p: TruncatedPoint) -> None:
-        for i in range(1, p.depth + 1):
-            if self.bonding(i)(p.coords[i]) != p.coords[i - 1]:
-                raise CompositionError(
-                    f"bonding inconsistency at level {i}: "
-                    f"f_{i}({p.coords[i]}) != {p.coords[i - 1]}"
-                )
+        self._check(self._single(p))
 
     def point_from_tip(self, depth: int, tip: Fraction) -> TruncatedPoint:
         """Depth-d point determined by its deepest coordinate."""
-        coords = [as_rat(tip)]
+        d, (tips,) = _scaled([as_rat(tip)])
+        return _point(self._push_down(d, tips, depth), 0)
+
+    # -- the integer kernel ---------------------------------------------------
+
+    def _rescaled(self, cols: Sequence[tuple[int, list[int]]]) -> Batch:
+        """Columns, each on its own lattice 1/n, on one lattice 1/d: the lcm
+        of theirs and of the maps' breakpoint x-denominators."""
+        d = math.lcm(self._xden, *(n for n, _ in cols))
+        return d, [col if n == d else [v * (d // n) for v in col] for n, col in cols]
+
+    def _single(self, p: TruncatedPoint) -> Batch:
+        """The batch of the one point p."""
+        d, (coords,) = _scaled(p.coords)
+        return self._rescaled([(d, [v]) for v in coords])
+
+    def _push_down(self, d: int, tips: list[int], depth: int) -> Batch:
+        """The depth-`depth` points with deepest coordinates tips (on 1/d):
+        x_{i-1} = f_i(x_i), one sweep of f_i per level."""
+        d, cols = self._rescaled([(d, tips)])
         for i in range(depth, 0, -1):
-            coords.append(self.bonding(i)(coords[-1]))
-        return TruncatedPoint(tuple(reversed(coords)))
+            top = _map_column(self.bonding(i), d, cols[0])
+            d, cols = self._rescaled([top] + [(d, col) for col in cols])
+        return d, cols
+
+    def _check(self, batch: Batch) -> None:
+        """f_i(x_i) = x_{i-1} exactly, for every level of every point, one
+        sweep of f_i per level; a broken thread raises CompositionError."""
+        d, cols = batch
+        for i in range(1, len(cols)):
+            n, images = _map_column(self.bonding(i), d, cols[i])
+            m = math.lcm(n, d)
+            a, b = m // n, m // d
+            for x, y, prev in zip(cols[i], images, cols[i - 1]):
+                if y * a != prev * b:
+                    raise CompositionError(
+                        f"bonding inconsistency at level {i}: "
+                        f"f_{i}({Fraction(x, d)}) != {Fraction(prev, d)}"
+                    )
+
+    def _step(self, batch: Batch) -> Batch:
+        """One application of the diagonal map to every point of the batch,
+        one sweep of g_{i+1} per level, bonding re-verified exactly.
+        Generic systems lose one level per application; shift-like systems
+        keep their depth because the image's deepest coordinate is the old
+        next-to-deepest one."""
+        d, cols = batch
+        depth = len(cols) - 1
+        if depth == 0:
+            raise DepthExhaustedError("cannot apply the diagonal map at depth 0")
+        images = [_map_column(self.diagonal_maps(i + 1), d, cols[i + 1]) for i in range(depth)]
+        if self.shift_like:
+            images.append((d, cols[depth - 1]))
+        out = self._rescaled(images)
+        self._check(out)
+        return out
 
 
 def check_diagonal_compat(sys: DiagonalSystem, depth: int) -> bool:
@@ -114,19 +193,8 @@ def psi_component(sys: DiagonalSystem, i: int) -> PLRelation:
 
 def apply_diagonal(sys: DiagonalSystem, p: TruncatedPoint) -> TruncatedPoint:
     """One step of the diagonal map, with bonding consistency re-verified
-    exactly.  Generic systems lose one level per application; shift-like
-    systems keep their depth because the image's deepest coordinate is the
-    old next-to-deepest one."""
-    if p.depth == 0:
-        raise DepthExhaustedError("cannot apply the diagonal map at depth 0")
-    coords = tuple(
-        sys.diagonal_maps(i + 1)(p.coords[i + 1]) for i in range(p.depth)
-    )
-    if sys.shift_like:
-        coords = coords + (p.coords[p.depth - 1],)
-    out = TruncatedPoint(coords)
-    sys.validate_point(out)
-    return out
+    exactly (see `DiagonalSystem._step`)."""
+    return _point(sys._step(sys._single(p)), 0)
 
 
 def _solve_pair(
@@ -235,26 +303,30 @@ def entropy_estimate_diagonal(
     everything below coordinate ~log2(1/eps).  The ignored tail is bounded
     by 2^-depth, reported per row.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     eps = as_rat(eps)
     start_depth = depth if sys.shift_like else depth + n_max - 1
-    trajectories = []
-    for tip in _grid_points(as_rat(grid)):
-        p = sys.point_from_tip(start_depth, tip)
-        traj = [p]
-        for _ in range(n_max - 1):
-            p = apply_diagonal(sys, p)
-            traj.append(p)
-        trajectories.append(traj)
+    d, (tips,) = _scaled(_grid_points(as_rat(grid)))
+    batch = sys._push_down(d, tips, start_depth)
 
     # a trajectory's n-step prefix as one flat point: two trajectories are
     # separated within n steps iff these points are eps-separated
-    prefixes = [()] * len(trajectories)
+    prefixes = [()] * len(tips)
+    shared: dict[int, dict[int, Fraction]] = {}  # one Fraction per (lattice, value)
     rows = []
     tail = Fraction(1, 2**depth)
     for n in range(1, n_max + 1):
+        if n > 1:
+            batch = sys._step(batch)
+        d, cols = batch
+        cols = cols[: depth + 1]
+        qs = shared.setdefault(d, {})
+        for v in set().union(*cols).difference(qs):
+            qs[v] = Fraction(v, d)
         prefixes = [
-            prefix + traj[n - 1].coords[: depth + 1]
-            for prefix, traj in zip(prefixes, trajectories)
+            prefix + tuple(map(qs.__getitem__, point))
+            for prefix, point in zip(prefixes, zip(*cols))
         ]
         count = separated_count(prefixes, eps)
         rows.append(

@@ -308,6 +308,23 @@ def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]
     return out
 
 
+def _on_curve(m: PLMap, d: int, ts: list[int]) -> tuple[int, list[int]]:
+    """m at every t of the increasing ts, on a lattice 1/d that holds m's
+    breakpoints, in one integer sweep: (n, the values over n), n the least
+    multiple of the denominators of m's values on which every slope of m
+    maps 1/d to integers.  A t off m's domain raises DomainError."""
+    pts = m.breakpoints
+    mts = [_exact(x.numerator * d, x.denominator) for x, _ in pts]
+    if ts and not (mts[0] <= ts[0] and ts[-1] <= mts[-1]):
+        off = ts[0] if ts[0] < mts[0] else ts[-1]
+        raise DomainError(f"{Fraction(off, d)} outside domain [{pts[0][0]}, {pts[-1][0]}]")
+    dy, (ys,) = _scaled([y for _, y in pts])
+    n = _lattice_for(
+        dy, d, (((y1 - y0) * d, (t1 - t0) * dy) for t0, t1, y0, y1 in zip(mts, mts[1:], ys, ys[1:]))
+    )
+    return n, _lattice_sweep(mts, [y * (n // dy) for y in ys], ts)
+
+
 def identity_map(interval: Interval = UNIT) -> PLMap:
     if interval.is_point():
         raise ValueError("identity needs a nondegenerate interval")

@@ -29,9 +29,8 @@ from .plmap import (
     Interval,
     PLMap,
     RatLike,
-    _lattice_for,
-    _lattice_sweep,
     _merge_collinear,
+    _on_curve,
     _scaled,
     as_rat,
     compose,
@@ -248,18 +247,6 @@ def inverse_rel(rel: PLRelation) -> PLRelation:
     return PLRelation([arc.inverse() for arc in rel.arcs])
 
 
-def _on_curve(m: PLMap, mts: list[int], d: int, ts: list[int]) -> tuple[int, list[int]]:
-    """m at every t of the increasing ts, m's breakpoints at mts, both on
-    1/d, in one integer sweep: (n, values over n), n the least multiple of
-    the denominators of m's values on which every slope of m maps 1/d to
-    integers."""
-    dy, (ys,) = _scaled([y for _, y in m.breakpoints])
-    n = _lattice_for(
-        dy, d, (((y1 - y0) * d, (t1 - t0) * dy) for t0, t1, y0, y1 in zip(mts, mts[1:], ys, ys[1:]))
-    )
-    return n, _lattice_sweep(mts, [y * (n // dy) for y in ys], ts)
-
-
 def param_graph(f: PLMap, g: PLMap) -> PLRelation:
     """The parameterized curve {(f(t), g(t)) : t in dom}.
 
@@ -273,8 +260,8 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
         raise CompositionError("parameterized graph needs maps with equal domains")
     d, (fts, gts) = _scaled([x for x, _ in f.breakpoints], [x for x, _ in g.breakpoints])
     ts = sorted({*fts, *gts})
-    nx, xs = _on_curve(f, fts, d, ts)
-    ny, ys = _on_curve(g, gts, d, ts)
+    nx, xs = _on_curve(f, d, ts)
+    ny, ys = _on_curve(g, d, ts)
     # (slope sign of f, of g) per piece between consecutive ts
     signs = [
         ((x1 > x0) - (x1 < x0), (y1 > y0) - (y1 < y0))

@@ -184,6 +184,43 @@ def test_eps_and_grid_must_be_positive_rationals(tmp_path, argv, capsys):
     assert not (tmp_path / "failure.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invlim", "--f", "tent:2", "--nmax", "0"],
+        ["invlim", "--f", "tent:2", "--depth", "0"],
+        ["invlim", "--f", "tent:2", "--cap-orbits", "0"],
+        ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--nmax", "0"],
+        ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--power", "0"],
+        ["entropy-map", "--f", "tent:2", "--nmax=-1"],
+        ["entropy-map", "--f", "tent:2", "--cap-breakpoints", "x"],
+        ["branches", "--n", "3", "--m", "2", "--kmax", "0"],
+        ["branches", "--n", "3", "--m", "2", "--cap-arcs", "0"],
+        ["bracket", "--n", "3", "--m", "2", "--kmax", "0"],
+        ["horseshoe", "--f", "tent:2", "--mode", "graph", "--n", "2", "--power", "0"],
+        ["appendix", "--nseq", "2,5", "--kmax", "0"],
+        ["appendix", "--nseq", "2,5", "--kbranch", "0"],
+    ],
+)
+def test_count_flags_must_be_positive_integers(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config", [{"nmax": 0}, {"depth": -2}, {"cap_orbits": "1/2"}])
+def test_config_counts_must_be_positive_integers(tmp_path, config, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["invlim", "--f", "tent:2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_grid_must_be_positive(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": 0}))

@@ -7,13 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from plent.errors import DepthExhaustedError, LiftingError
-from plent.families import appendix_pair, tent
-from plent.plmap import compose, map_equals
+from plent.errors import CompositionError, DepthExhaustedError, DomainError, LiftingError
+from plent.families import appendix_pair, parse_family, tent
+from plent.plmap import PLMap, as_rat, compose, map_equals
 from plent.relation import param_graph, rel_equals
 from plent.invlim import (
     DiagonalSystem,
     TruncatedPoint,
+    _point,
     apply_diagonal,
     check_diagonal_compat,
     entropy_estimate_diagonal,
@@ -31,6 +32,140 @@ def _quiet_isolated_points():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         yield
+
+
+# -- the Fraction reference ------------------------------------------------------
+#
+# The one-point bodies of the diagonal step as first written, every map
+# evaluated in Fractions; the integer kernel must agree with them.
+
+
+def reference_validate_point(sys_, p):
+    for i in range(1, p.depth + 1):
+        if sys_.bonding(i)(p.coords[i]) != p.coords[i - 1]:
+            raise CompositionError(
+                f"bonding inconsistency at level {i}: "
+                f"f_{i}({p.coords[i]}) != {p.coords[i - 1]}"
+            )
+
+
+def reference_point_from_tip(sys_, depth, tip):
+    coords = [as_rat(tip)]
+    for i in range(depth, 0, -1):
+        coords.append(sys_.bonding(i)(coords[-1]))
+    return TruncatedPoint(tuple(reversed(coords)))
+
+
+def reference_apply_diagonal(sys_, p):
+    if p.depth == 0:
+        raise DepthExhaustedError("cannot apply the diagonal map at depth 0")
+    coords = tuple(
+        sys_.diagonal_maps(i + 1)(p.coords[i + 1]) for i in range(p.depth)
+    )
+    if sys_.shift_like:
+        coords = coords + (p.coords[p.depth - 1],)
+    out = TruncatedPoint(coords)
+    reference_validate_point(sys_, out)
+    return out
+
+
+KERNEL_SYSTEMS = [
+    *(("shift", f, None) for f in ("tent:2", "tent:3", "gfold:5", "slope:3/2")),
+    ("diag", "tent:2", "tent:3"),
+    ("diag", "slope:3", "tent:2"),
+    ("diag", "sfold:3", "tent:5"),
+    ("diag", "tent:4", "slope:3"),
+]
+
+
+def build_system(kind, f, g):
+    if kind == "shift":
+        return DiagonalSystem.shift(parse_family(f))
+    return DiagonalSystem.constant(parse_family(f), parse_family(g))
+
+
+@pytest.mark.parametrize("kind, f, g", KERNEL_SYSTEMS)
+def test_kernel_matches_the_fraction_reference_step_by_step(kind, f, g):
+    sys_ = build_system(kind, f, g)
+    steps = 4
+    depth = 3 if sys_.shift_like else 3 + steps
+    grid = F(1, 64)
+    tips = [k * grid for k in range(65)]
+    batch = sys_._push_down(64, list(range(65)), depth)
+    refs = [reference_point_from_tip(sys_, depth, tip) for tip in tips]
+    for step in range(steps + 1):
+        if step:
+            batch = sys_._step(batch)
+            refs = [reference_apply_diagonal(sys_, p) for p in refs]
+        assert [_point(batch, j) for j in range(len(tips))] == refs, f"step {step}"
+        sys_._check(batch)
+    # the one-point wrappers run the same kernel
+    for tip in tips[::8]:
+        p = sys_.point_from_tip(depth, tip)
+        assert p == reference_point_from_tip(sys_, depth, tip)
+        assert apply_diagonal(sys_, p) == reference_apply_diagonal(sys_, p)
+        sys_.validate_point(p)
+
+
+@pytest.mark.parametrize(
+    "f, g", [("tent:2", "gfold:5"), ("tent:3", "slope:3/2"), ("tent:2", "tilde:tent:3")]
+)
+def test_incompatible_pair_breaks_the_thread(f, g):
+    sys_ = build_system("diag", f, g)
+    with pytest.raises(CompositionError, match="bonding inconsistency"):
+        entropy_estimate_diagonal(sys_, 3, 4, F(1, 16), F(1, 64))
+
+
+def test_a_broken_thread_is_reported_like_the_reference():
+    sys_ = DiagonalSystem.constant(tent(2), parse_family("gfold:5"))
+    p = sys_.point_from_tip(3, F(1, 4))
+    with pytest.raises(CompositionError) as ref:
+        reference_apply_diagonal(sys_, p)
+    with pytest.raises(CompositionError) as err:
+        apply_diagonal(sys_, p)
+    assert str(err.value) == str(ref.value)
+
+
+HALF = PLMap([(0, 0), (F(1, 2), F(1, 2))])  # the identity of [0, 1/2]
+
+
+@pytest.mark.parametrize(
+    "call, reference, point, error",
+    [
+        (apply_diagonal, reference_apply_diagonal, (F(1, 4), F(3, 4)), DomainError),
+        (apply_diagonal, reference_apply_diagonal, (F(1, 4),), DepthExhaustedError),
+        (apply_diagonal, reference_apply_diagonal, (F(1, 8), F(1, 4), F(3, 8)), CompositionError),
+        (DiagonalSystem.validate_point, reference_validate_point, (F(3, 4), F(3, 4)), DomainError),
+        (DiagonalSystem.validate_point, reference_validate_point, (F(1, 8), F(1, 4)), CompositionError),
+    ],
+)
+def test_one_point_errors_match_the_reference(call, reference, point, error):
+    sys_ = DiagonalSystem.constant(HALF, HALF)
+    p = TruncatedPoint(point)
+    with pytest.raises(error):
+        reference(sys_, p)
+    with pytest.raises(error):
+        call(sys_, p)
+
+
+def test_estimate_never_evaluates_a_map_point_by_point(monkeypatch):
+    calls = []
+    evaluate = PLMap.__call__
+
+    def counting(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(PLMap, "__call__", counting)
+    sys_ = DiagonalSystem.shift(tent(2))
+    entropy_estimate_diagonal(sys_, 4, 8, F(1, 16), F(1, 256))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_diagonal_estimate_needs_a_positive_n_max(n_max):
+    with pytest.raises(ValueError):
+        entropy_estimate_diagonal(DiagonalSystem.shift(tent(2)), 3, n_max, F(1, 16), F(1, 64))
 
 
 # -- points and systems ---------------------------------------------------------
@@ -197,15 +332,16 @@ def test_shift_estimate_recovers_the_base_entropy():
 
 def reference_diagonal_counts(sys_, depth, n_max, eps, grid):
     """The separated counts of entropy_estimate_diagonal as first written:
-    every pair of trajectories compared for the first step at which they
-    separate, then one predicate per n."""
+    trajectories built point by point in Fractions, every pair of them
+    compared for the first step at which they separate, then one predicate
+    per n."""
     start_depth = depth if sys_.shift_like else depth + n_max - 1
     trajectories = []
     for k in range(int(1 / grid) + 1):
-        p = sys_.point_from_tip(start_depth, k * grid)
+        p = reference_point_from_tip(sys_, start_depth, k * grid)
         traj = [p]
         for _ in range(n_max - 1):
-            p = apply_diagonal(sys_, p)
+            p = reference_apply_diagonal(sys_, p)
             traj.append(p)
         trajectories.append(traj)
 

@@ -12,6 +12,7 @@ from plent.plmap import (
     Interval,
     PLMap,
     UNIT,
+    _on_curve,
     compose,
     constant_map,
     constant_slope,
@@ -274,3 +275,18 @@ def test_compose_checks_the_cap_on_the_breakpoint_count():
     assert len(compose(f, g, cap_breakpoints=82).breakpoints) == 82
     with pytest.raises(ResourceError, match="82 breakpoints"):
         compose(f, g, cap_breakpoints=81)
+
+
+@given(st.one_of(maps, sub_domain_maps()), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_on_curve_equals_pointwise_evaluation(m, scale):
+    d = math.lcm(*(x.denominator for x, _ in m.breakpoints)) * scale
+    lo, hi = (int(x * d) for x in (m.domain.lo, m.domain.hi))
+    # the breakpoints and about 50 lattice points between them
+    ts = sorted({*(int(x * d) for x, _ in m.breakpoints), *range(lo, hi, max(1, (hi - lo) // 50))})
+    n, values = _on_curve(m, d, ts)
+    assert [F(v, n) for v in values] == [m(F(t, d)) for t in ts]
+    # off the domain on either side, as PLMap evaluation reports it
+    for off in ([lo - 1, *ts], [*ts, hi + 1]):
+        with pytest.raises(DomainError):
+            _on_curve(m, d, off)
