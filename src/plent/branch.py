@@ -110,14 +110,18 @@ def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
     """Level-1 family: the monotone arcs of {(f(t), g(t))}.
 
     Only strict arcs are representable as branches, so maps producing
-    plateaus or verticals in the curve are rejected.  Callers are expected
-    to have checked strong commutation when they rely on the level-k
-    family equalling the k-fold composition.
+    plateaus or verticals in the curve are rejected.  A point arc (a joint
+    plateau of f and g) is skipped: its overlap with any domain has no
+    interior, so it never chains.  Callers are expected to have checked
+    strong commutation when they rely on the level-k family equalling the
+    k-fold composition.
     """
     if f.range != UNIT or g.range != UNIT:
         raise InvalidFamilyError("branch families need onto maps of [0,1]")
     pts = []
     for arc in param_graph(f, g).arcs:
+        if arc.is_point():
+            continue
         if arc.kind not in (INC, DEC):
             raise InvalidFamilyError(
                 "parameterized curve has a flat or vertical arc; "

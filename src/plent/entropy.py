@@ -26,7 +26,6 @@ from .relation import (
     PLRelation,
     fiber_intervals,
     param_graph,
-    rel_power,
     strongly_commutes,
 )
 
@@ -460,23 +459,22 @@ class IterateBound:
 
 
 def iterate_horseshoe_bound(
-    rel: PLRelation,
     k_max: int,
-    power: Callable[[int], PLRelation] | None = None,
+    power: Callable[[int], PLRelation],
     *,
     candidates: Callable[[int], Sequence[int]],
 ) -> list[IterateBound]:
     """Certified lower bounds (1/k) log N_k from horseshoes of the k-th
     composition power.
 
-    `power` overrides how powers are formed (e.g. parameterized graphs of
-    iterated maps when the pair strongly commutes).  `candidates` supplies
-    the horseshoe sizes to try at each k, in order; the first one found
-    is kept.
+    `power(k)` forms the k-th power, for k = 1, 2, ... in turn (e.g.
+    parameterized graphs of iterated maps when the pair strongly commutes,
+    or `rel_power`).  `candidates` supplies the horseshoe sizes to try at
+    each k, in order; the first one found is kept.
     """
     out = []
     for k in range(1, k_max + 1):
-        rk = power(k) if power is not None else rel_power(rel, k)
+        rk = power(k)
         for n in candidates(k):
             if n < 2:
                 continue
@@ -538,9 +536,7 @@ def bracket_theorem_main(
             gk = compose(g, gk, cap_breakpoints=cap_breakpoints)
         return param_graph(fk, gk)
 
-    certs = iterate_horseshoe_bound(
-        None, k_max, power=power, candidates=lambda k: [(big**k + 1) // 2]
-    )
+    certs = iterate_horseshoe_bound(k_max, power, candidates=lambda k: [(big**k + 1) // 2])
     if len(certs) != k_max:
         raise AssertionError("horseshoe certification failed at some level")
     rows = branch_counts(f, g, k_max, cap_arcs=cap_arcs)

@@ -6,20 +6,17 @@ An arc is one of:
   between two nondegenerate subintervals,
 * ``hor`` -- a horizontal segment (constant map over a nondegenerate
   domain interval),
-* ``ver`` -- a vertical segment: a single x with a nondegenerate interval
-  of y-values.
+* ``ver`` -- a vertical segment: a single x with an interval of y-values.
+  When the interval is degenerate the arc is a single point, so the model
+  is closed under composition: a degenerate overlap yields a point.
 
 Two relations are equal when they are equal as subsets of the unit
 square; ``rel_equals`` compares canonical segment decompositions, so the
 particular arc decomposition does not matter.
-
-Isolated points arising in constructions (e.g. degenerate overlaps during
-composition) are outside this model and are dropped with a warning.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -44,18 +41,6 @@ HOR = "hor"
 VER = "ver"
 
 
-class IsolatedPointWarning(UserWarning):
-    """A construction produced an isolated point, which was dropped."""
-
-
-def _warn_point(x: Fraction, y: Fraction, context: str) -> None:
-    warnings.warn(
-        f"dropping isolated point ({x}, {y}) produced by {context}",
-        IsolatedPointWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(frozen=True)
 class MonotoneArc:
     kind: str
@@ -74,8 +59,6 @@ class MonotoneArc:
         elif self.kind == VER:
             if self.homeo is not None or self.x is None or self.ys is None:
                 raise ValueError("vertical arcs need x and a y-interval")
-            if self.ys.is_point():
-                raise ValueError("vertical arc must have a nondegenerate y-interval")
         else:
             raise ValueError(f"unknown arc kind {self.kind!r}")
 
@@ -103,7 +86,11 @@ class MonotoneArc:
 
     @staticmethod
     def vertical(x: RatLike, ys: Interval) -> "MonotoneArc":
+        """The segment {x} x ys; a point when ys is degenerate."""
         return MonotoneArc(VER, x=as_rat(x), ys=ys)
+
+    def is_point(self) -> bool:
+        return self.kind == VER and self.ys.is_point()
 
     @property
     def dom(self) -> Interval:
@@ -131,6 +118,8 @@ class MonotoneArc:
 
     def inverse(self) -> "MonotoneArc":
         if self.kind == VER:
+            if self.is_point():
+                return MonotoneArc.vertical(self.ys.lo, self.dom)
             # vertical becomes the constant map ys -> x
             return MonotoneArc(
                 HOR, homeo=PLMap([(self.ys.lo, self.x), (self.ys.hi, self.x)])
@@ -202,13 +191,21 @@ class PLRelation:
         """The relation as a canonical set of maximal straight segments.
 
         Segments are grouped by the line they lie on and merged into
-        maximal pieces, so this is a complete invariant of the point set.
+        maximal pieces, and a point arc lying on another arc is dropped, so
+        this is a complete invariant of the point set.
         """
         canon = object.__getattribute__(self, "_canon")
         if canon is not None:
             return canon
+        solid = [arc for arc in self.arcs if not arc.is_point()]
+        points = [
+            p
+            for p in self.arcs
+            if p.is_point()
+            and not any((fib := a.fiber(p.x)) is not None and fib.contains(p.ys.lo) for a in solid)
+        ]
         by_line: dict[tuple, list[Interval]] = {}
-        for arc in self.arcs:
+        for arc in solid + points:
             for (px, py), (qx, qy) in arc.segments():
                 if px == qx:
                     key = ("v", px)
@@ -276,12 +273,9 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
         if end < len(signs) and signs[end] == signs[end - 1]:
             continue
         x0, x1, y0, y1 = xs[start], xs[end], ys[start], ys[end]
-        if x0 == x1:
-            if y0 == y1:
-                _warn_point(xq[x0], yq[y0], "a joint plateau in param_graph")
-            else:
-                span = Interval(yq[min(y0, y1)], yq[max(y0, y1)])
-                arcs.append(MonotoneArc.vertical(xq[x0], span))
+        if x0 == x1:  # a point when g is flat too
+            span = Interval(yq[min(y0, y1)], yq[max(y0, y1)])
+            arcs.append(MonotoneArc.vertical(xq[x0], span))
         else:
             # f is strictly monotone on the piece and g monotone, so the
             # points are a valid map once ordered by x
@@ -314,55 +308,31 @@ def _compose_strict(r: PLMap, s: PLMap, overlap: Interval) -> MonotoneArc:
 
 
 def _compose_pair(r: MonotoneArc, s: MonotoneArc) -> Optional[MonotoneArc]:
-    """One arc of s o r, or None when the overlap is empty/degenerate."""
-    if r.kind == VER:
-        if s.kind == VER:
-            if r.ys.contains(s.x):
-                return MonotoneArc.vertical(r.x, s.ys)
-            return None
-        overlap = r.ys.intersect(s.dom)
-        if overlap is None:
-            return None
-        out = s.image(overlap)
-        if out is None or out.is_point():
-            if out is not None:
-                _warn_point(r.x, out.lo, "composing a vertical into a flat arc")
-            return None
-        return MonotoneArc.vertical(r.x, out)
-    if r.kind == HOR:
-        y0 = r.homeo.breakpoints[0][1]
-        if s.kind == VER:
-            if s.x == y0:
-                raise UnsupportedRelationError(
-                    "composition produces a full rectangle "
-                    f"(horizontal at {y0} into vertical at {s.x}); "
-                    "rectangle fibers are outside the finite-arc model"
-                )
-            return None
-        if s.dom.contains(y0):
-            value = s.homeo(y0)
-            dom = r.homeo.domain
-            return MonotoneArc(
-                HOR, homeo=PLMap([(dom.lo, value), (dom.hi, value)])
-            )
-        return None
-    # r strictly monotone
-    if s.kind == VER:
-        if r.ran.contains(s.x):
-            x0 = r.homeo.inverse()(s.x)
-            return MonotoneArc.vertical(x0, s.ys)
-        return None
+    """The arc of s o r, or None when ran(r) misses dom(s).
+
+    With O = ran(r) & dom(s), X = r^-1(O) and Z = s(O): a point X gives the
+    vertical X x Z, a point Z the horizontal over X; a point O with both
+    nondegenerate would be the rectangle X x Z, outside the model.
+    """
     overlap = r.ran.intersect(s.dom)
-    if overlap is None or overlap.is_point():
-        if overlap is not None:
-            x0 = r.homeo.inverse()(overlap.lo)
-            _warn_point(x0, s.homeo(overlap.lo), "a degenerate range/domain overlap")
+    if overlap is None:
         return None
+    xs, zs = r.inverse().image(overlap), s.image(overlap)
+    if xs.is_point():
+        return MonotoneArc.vertical(xs.lo, zs)
+    if zs.is_point():
+        return MonotoneArc(HOR, homeo=PLMap([(xs.lo, zs.lo), (xs.hi, zs.lo)]))
+    if overlap.is_point():
+        raise UnsupportedRelationError(
+            f"composition produces a full rectangle ([{xs.lo}, {xs.hi}] x [{zs.lo}, {zs.hi}]); "
+            "rectangle fibers are outside the finite-arc model"
+        )
     return _compose_strict(r.homeo, s.homeo, overlap)
 
 
 def compose_rel(s: PLRelation, r: PLRelation) -> PLRelation:
-    """The relation s o r = {(x, z) : exists y, (x,y) in r and (y,z) in s}."""
+    """The relation s o r = {(x, z) : exists y, (x,y) in r and (y,z) in s},
+    every point kept: a degenerate overlap gives a point arc."""
     arcs = []
     for ra in r.arcs:
         for sa in s.arcs:

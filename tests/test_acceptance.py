@@ -8,7 +8,6 @@ as a pass/fail checklist.
 import math
 import random
 import time
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -53,13 +52,6 @@ from plent.invlim import (
 )
 from plent.errors import LiftingError
 from plent.blocks import appendix_system, level_report
-
-
-@pytest.fixture(autouse=True)
-def _quiet_isolated_points():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        yield
 
 
 def test_criterion_1_exact_identity_suite():

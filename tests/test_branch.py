@@ -9,7 +9,7 @@ from plent.blocks import unit_copy
 from plent.errors import InvalidFamilyError, ResourceError
 from plent.plmap import Interval
 from plent.families import appendix_pair, block_interval, parse_family, plateau_map, tent
-from plent.relation import IsolatedPointWarning, param_graph, rel_equals, rel_power
+from plent.relation import param_graph, rel_equals, rel_power
 import plent.branch
 from plent.branch import (
     branch_counts,
@@ -154,7 +154,6 @@ def _appendix_block(k, i):
 APPENDIX_BLOCKS = [(k, i) for k in (1, 2, 3) for i in range(1, k + 3)]
 
 
-@pytest.mark.filterwarnings("ignore", category=IsolatedPointWarning)
 @pytest.mark.parametrize("k, i", APPENDIX_BLOCKS, ids=[f"k{k}-block{i}" for k, i in APPENDIX_BLOCKS])
 def test_appendix_block_families_equal_chained_reference(k, i):
     f, g = _appendix_block(k, i)

@@ -258,7 +258,7 @@ def test_cubed_tent_relation_has_a_fourteen_horseshoe():
 def test_iterate_horseshoe_bounds_grow():
     rel = param_graph(tent(2), tent(3))
     rows = iterate_horseshoe_bound(
-        rel, 3, candidates=lambda k: [(3**k + 1) // 2]
+        3, power=lambda k: rel_power(rel, k), candidates=lambda k: [(3**k + 1) // 2]
     )
     bounds = [row.bound for row in rows]
     assert bounds == sorted(bounds)

@@ -2,7 +2,6 @@
 blockwise analysis of the level maps."""
 
 import math
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -25,13 +24,6 @@ from plent.invlim import (
 from plent.blocks import appendix_system, level_report
 
 from test_entropy import reference_separated_count
-
-
-@pytest.fixture(autouse=True)
-def _quiet_isolated_points():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        yield
 
 
 # -- the Fraction reference ------------------------------------------------------

@@ -2,7 +2,6 @@
 compositions, and strong commutation."""
 
 import random
-import warnings
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plent.errors import CompositionError, UnsupportedRelationError
-from plent.plmap import Interval, PLMap, UNIT, compose, constant_map, iterate
+from plent.plmap import Interval, PLMap, UNIT, compose, constant_map, iterate, merge_intervals
 from plent.relation import (
     DEC,
     HOR,
     INC,
     VER,
-    IsolatedPointWarning,
     MonotoneArc,
     PLRelation,
     commutes,
@@ -84,11 +82,14 @@ def test_rel_union_deduplicates():
 
 def _random_arc(rng):
     """An arc of a random kind over a small denominator, so that equal
-    domains, equal ranges and duplicate arcs are common."""
+    domains, equal ranges and duplicate arcs are common.  A point is a
+    vertical arc over a degenerate y-interval."""
     den = rng.choice([2, 3, 4, 6])
     a, b = sorted(F(v, den) for v in rng.sample(range(den + 1), 2))
     c, d = sorted(F(v, den) for v in rng.sample(range(den + 1), 2))
-    kind = rng.choice([INC, DEC, HOR, VER])
+    kind = rng.choice([INC, DEC, HOR, VER, "point"])
+    if kind == "point":
+        return MonotoneArc.vertical(a, Interval(c, c))
     if kind == VER:
         return MonotoneArc.vertical(a, Interval(c, d))
     if kind == HOR:
@@ -136,24 +137,81 @@ def test_graph_of_composition_is_composition_of_graphs():
     )
 
 
-def test_compose_against_bruteforce_fibers():
-    """Composition agrees with chaining fibers point by point."""
+def _point(x, y):
+    return MonotoneArc.vertical(x, Interval(F(y), F(y)))
+
+
+def _chained_fiber(s, r, x):
+    """The fiber of s o r at x by brute force: the images under every arc of
+    s of the fiber of r at x, merged."""
+    return merge_intervals(
+        z for iv in fiber_intervals(r, x) for arc in s.arcs if (z := arc.image(iv)) is not None
+    )
+
+
+def _assert_compose_matches_fibers(s, r, xs):
+    comp = compose_rel(s, r)
+    xs = set(xs) | {x for arc in comp.arcs for seg in arc.segments() for x, _ in seg}
+    for x in sorted(xs):
+        assert fiber_intervals(comp, x) == _chained_fiber(s, r, x), x
+
+
+def _sample_xs(s, r):
+    """The 1/48 grid, plus every x where an arc of r reaches an end of the
+    domain of an arc of s: isolated points of s o r can only sit there."""
+    xs = {F(k, 48) for k in range(49)}
+    for ra in r.arcs:
+        back = ra.inverse()
+        for sa in s.arcs:
+            for y in (sa.dom.lo, sa.dom.hi):
+                if (iv := back.fiber(y)) is not None:
+                    xs |= {iv.lo, iv.hi}
+    return xs
+
+
+def test_compose_of_tent_relations_against_bruteforce_fibers():
     r = param_graph(tent(3), tent(2))
     s = inverse_rel(graph_of(tent(2)))
-    comp = compose_rel(s, r)
-    for k in range(0, 201):
-        x = F(k, 200)
-        expected = set()
-        for iv in fiber_intervals(r, x):
-            for y in ({iv.lo, iv.hi} | ({(iv.lo + iv.hi) / 2} if not iv.is_point() else set())):
-                for jv in fiber_intervals(s, y):
-                    expected.add(jv.lo)
-                    expected.add(jv.hi)
-        got = set()
-        for jv in fiber_intervals(comp, x):
-            got.add(jv.lo)
-            got.add(jv.hi)
-        assert expected <= got or expected == got
+    _assert_compose_matches_fibers(s, r, (F(k, 200) for k in range(201)))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_compose_against_bruteforce_fibers(rng):
+    """On small-grid relations mixing every arc kind and points, composition
+    agrees with chaining fibers, degenerate overlaps included."""
+    r = PLRelation([_random_arc(rng) for _ in range(rng.randint(1, 4))])
+    s = PLRelation([_random_arc(rng) for _ in range(rng.randint(1, 4))])
+    xs = _sample_xs(s, r)
+    try:
+        _assert_compose_matches_fibers(s, r, xs)
+    except CompositionError:
+        assert all(_chained_fiber(s, r, x) == [] for x in xs)
+    except UnsupportedRelationError:
+        # only a horizontal arc of r meeting a vertical arc of s is a rectangle
+        assert any(
+            ra.kind == HOR and sa.kind == VER and not sa.ys.is_point() and sa.x == ra.ran.lo
+            for ra in r.arcs
+            for sa in s.arcs
+        )
+
+
+@pytest.mark.parametrize("inner, outer", [((0, F(1, 2)), (F(1, 2), 1)), ((F(1, 2), 1), (0, F(1, 2)))])
+def test_arcs_meeting_at_one_point_compose_to_that_point(inner, outer):
+    inc = lambda a, b: PLRelation([MonotoneArc(INC, homeo=PLMap([(a, a), (b, b)]))])
+    comp = compose_rel(inc(*outer), inc(*inner))
+    assert rel_equals(comp, PLRelation([_point(F(1, 2), F(1, 2))]))
+    assert [arc.key() for arc in comp.arcs] == [(VER, F(1, 2), F(1, 2), F(1, 2))]
+
+
+def test_a_point_on_a_segment_is_absorbed():
+    g = graph_of(tent(2))
+    assert rel_equals(rel_union(g, PLRelation([_point(F(1, 4), F(1, 2))])), g)
+    assert not rel_equals(rel_union(g, PLRelation([_point(F(1, 4), F(1, 4))])), g)
+
+
+def test_inverse_of_a_point_is_a_point():
+    assert _point(F(1, 3), F(2, 3)).inverse().key() == (VER, F(2, 3), F(1, 3), F(1, 3))
 
 
 def test_empty_composition_raises():
@@ -170,11 +228,6 @@ def test_rectangle_composition_is_rejected():
         compose_rel(ver, hor)
 
 
-def test_isolated_points_are_dropped_with_a_warning():
-    with pytest.warns(IsolatedPointWarning):
-        param_graph(plateau_map(), plateau_map())
-
-
 # -- parameterized graphs ----------------------------------------------------------
 
 
@@ -187,19 +240,16 @@ def test_param_graph_equals_composed_graph():
 
 def reference_param_graph(f, g):
     """param_graph as it was built piece by piece with restrict, inverse and
-    compose, kept as its oracle: the arc keys and the dropped points."""
+    compose, kept as its oracle: the arc keys.  A joint plateau is a point."""
     cuts = sorted(set(f.lap_boundaries()) | set(g.lap_boundaries()))
-    arcs, points = [], []
+    arcs = []
     for t0, t1 in zip(cuts, cuts[1:]):
         fp, gp = f.restrict(t0, t1), g.restrict(t0, t1)
         if fp.is_constant():
-            if gp.is_constant():
-                points.append(f"({fp(t0)}, {gp(t0)})")
-                continue
             arcs.append(MonotoneArc.vertical(fp(t0), gp.range))
         else:
             arcs.append(MonotoneArc.from_map(compose(gp, fp.inverse())))
-    return [arc.key() for arc in PLRelation(arcs).arcs], points
+    return [arc.key() for arc in PLRelation(arcs).arcs]
 
 
 PARAM_MAPS = [iterate(tent(n), k) for n in (2, 3, 5) for k in (1, 2, 3)] + [
@@ -215,20 +265,13 @@ PARAM_MAPS = [iterate(tent(n), k) for n in (2, 3, 5) for k in (1, 2, 3)] + [
 
 def test_param_graph_matches_the_piecewise_construction():
     for f, g in product(PARAM_MAPS, PARAM_MAPS):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            keys = [arc.key() for arc in param_graph(f, g).arcs]
-        points = [
-            str(w.message).split(" produced")[0].removeprefix("dropping isolated point ")
-            for w in caught
-            if issubclass(w.category, IsolatedPointWarning)
-        ]
-        assert (keys, points) == reference_param_graph(f, g)
+        assert [arc.key() for arc in param_graph(f, g).arcs] == reference_param_graph(f, g)
 
 
-def test_param_graph_drops_the_joint_plateau_point():
-    with pytest.warns(IsolatedPointWarning, match=r"\(1/2, 1/2\) produced by a joint plateau"):
-        param_graph(plateau_map(), plateau_map())
+def test_param_graph_keeps_the_joint_plateau_point():
+    rel = param_graph(plateau_map(), plateau_map())
+    assert (VER, F(1, 2), F(1, 2), F(1, 2)) in [arc.key() for arc in rel.arcs]
+    assert fiber_intervals(rel, F(1, 2)) == [Interval(F(1, 2), F(1, 2))]
 
 
 def test_param_graph_rejects_unequal_domains():

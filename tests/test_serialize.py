@@ -49,8 +49,10 @@ def test_arc_roundtrip_all_kinds():
     arcs = list(graph_of(plateau_map()).arcs)
     arcs += list(graph_of(tent(2)).arcs)
     arcs += list(inverse_rel(graph_of(constant_map(UNIT, F(1, 2)))).arcs)
+    arcs += [a for a in param_graph(plateau_map(), plateau_map()).arcs if a.is_point()]
     kinds = {a.kind for a in arcs}
     assert {"inc", "dec", "hor", "ver"} <= kinds
+    assert arcs[-1].key() == ("ver", F(1, 2), F(1, 2), F(1, 2))
     for arc in arcs:
         back = arc_from_json(arc_to_json(arc))
         assert back.key() == arc.key()
