@@ -14,7 +14,6 @@ when asked for.
 
 from __future__ import annotations
 
-import bisect
 import gc
 import math
 from dataclasses import dataclass
@@ -29,7 +28,10 @@ from .plmap import (
     _exact,
     _lattice_for,
     _merge_collinear,
+    _on_shared_axis,
     _scaled,
+    _slopes,
+    _value,
 )
 from .relation import INC, DEC, MonotoneArc, PLRelation, _compose_strict, param_graph
 
@@ -143,37 +145,6 @@ def chain(a: Branch, b: Branch, provenance=None) -> Optional[Branch]:
     return Branch(_compose_strict(a.arc.homeo, b.arc.homeo, z), provenance)
 
 
-def _slopes(key: tuple[int, ...], dx: int, dy: int) -> tuple[tuple[int, int], ...]:
-    """Per segment of the arc with this key over (dx, dy), its slope as the
-    ratio (num, den), not reduced; den > 0, because x increases along a
-    key."""
-    m = len(key) // 2
-    return tuple(
-        ((key[m + k + 1] - key[m + k]) * dx, (key[k + 1] - key[k]) * dy) for k in range(m - 1)
-    )
-
-
-def _on_shared_axis(ins, outs, slopes, s_in: int, m_out: int, shared: int, n_out: int):
-    """An arc as a function of Z on the shared axis, with Z = ins*s_in and
-    value outs*m_out over n_out: its breakpoints in Z, increasing, and per
-    segment (w, c) with value w + Z*c, where c = n_out*num / (shared*den)
-    for the segment's slope num/den."""
-    pieces = []
-    for k, (num, den) in enumerate(slopes):
-        c = _exact(n_out * num, shared * den)
-        pieces.append((outs[k] * m_out - ins[k] * s_in * c, c))
-    zs = [v * s_in for v in ins]
-    if zs[0] > zs[-1]:
-        zs.reverse()
-        pieces.reverse()
-    return zs, pieces
-
-
-def _value(zs: list[int], pieces: list[tuple[int, int]], z: int) -> int:
-    w, c = pieces[min(bisect.bisect_right(zs, z), len(pieces)) - 1]
-    return w + z * c
-
-
 def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
     """The key of arc b after arc a over the overlap [zlo, zhi]: its
     breakpoints are the overlap's ends and the breakpoints of a and b
@@ -233,17 +204,18 @@ def next_family(
     level = fam.level + 1
     shared = math.lcm(lat_a.dy, lat_b.dx)
     sa, sb = shared // lat_a.dy, shared // lat_b.dx
-    # a^{-1} has the reciprocal slopes of a
-    inv_a = [[(den, num) for num, den in _slopes(key, lat_a.dx, lat_a.dy)] for key in lat_a.keys]
-    nx = _lattice_for(lat_a.dx, shared, (s for sl in inv_a for s in sl))
-    ny = _lattice_for(
-        lat_b.dy, shared, (s for key in lat_b.keys for s in _slopes(key, lat_b.dx, lat_b.dy))
-    )
+    # every key as (x's, y's); a^{-1} is a with the two swapped
+    halves_a = [(k[: len(k) // 2], k[len(k) // 2 :]) for k in lat_a.keys]
+    halves_b = ((k[: len(k) // 2], k[len(k) // 2 :]) for k in lat_b.keys)
+    inv_slopes = [_slopes(ys, xs, lat_a.dy, lat_a.dx) for xs, ys in halves_a]
+    nx = _lattice_for(lat_a.dx, shared, (s for sl in inv_slopes for s in sl))
+    b_slopes = (s for xs, ys in halves_b for s in _slopes(xs, ys, lat_b.dx, lat_b.dy))
+    ny = _lattice_for(lat_b.dy, shared, b_slopes)
     mx, my = nx // lat_a.dx, ny // lat_b.dy
-    rows = []
-    for i, (key, sl) in enumerate(zip(lat_a.keys, inv_a)):
-        m = len(key) // 2
-        rows.append((i, *_on_shared_axis(key[m:], key[:m], sl, sa, mx, shared, nx)))
+    rows = [
+        (i, *_on_shared_axis(ys, xs, sl, sa, mx, shared, nx))
+        for i, ((xs, ys), sl) in enumerate(zip(halves_a, inv_slopes))
+    ]
     # two-point level-1 arc i maps Z on its range to x = u0 + Z*ca over nx
     lefts = []
     for i, (rlo, rhi), ((u0, ca),) in (r for r in rows if len(r[1]) == 2):
@@ -280,7 +252,7 @@ def next_family(
                 general, zb, fb = bends, (blo, bhi), ((w0, cb),)
             else:
                 m = len(arc) // 2
-                sl = _slopes(arc, lat_b.dx, lat_b.dy)
+                sl = _slopes(arc[:m], arc[m:], lat_b.dx, lat_b.dy)
                 zb, fb = _on_shared_axis(arc[:m], arc[m:], sl, sb, my, shared, ny)
                 general = rows
             for i, za, fa in general:

@@ -20,7 +20,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .branch import branch_counts
 from .errors import CompositionError, ResourceError
-from .plmap import Interval, _lattice_sweep, _on_lattice, _scaled, as_rat, compose
+from .plmap import (
+    Interval, _lattice_for, _lattice_sweep, _on_lattice, _scaled, _slopes, as_rat, compose
+)
 from .relation import (
     VER,
     PLRelation,
@@ -129,9 +131,7 @@ def _closeness(points: Sequence[Sequence[Fraction]], eps: Fraction) -> list[set[
     eps = as_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d = math.lcm(eps.denominator, *{x.denominator for p in points for x in p})
-    e = _on_lattice(eps, d)
-    lattice = [[_on_lattice(x, d) for x in p] for p in points]
+    _, ([e], *lattice) = _scaled([eps], *points)
     k = min(3, *map(len, lattice)) if lattice else 0
     cells: dict[tuple[int, ...], list[int]] = {}
     for i, p in enumerate(lattice):
@@ -270,7 +270,7 @@ def entropy_estimate(
         for eps in eps_schedule:
             eps = as_rat(eps)
             s = separated_count(orbits, eps)
-            r = spanning_count(orbits, eps, exact_cap=0)  # greedy on big sets
+            r = spanning_count(orbits, eps, exact_cap=0)  # a greedy upper bound on every set
             rows.append(EstimateRow(n, eps, as_rat(grid), s, r, math.log(s) / n if s > 1 else 0.0))
     return rows
 
@@ -297,27 +297,18 @@ class HorseshoeCert:
 
 def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> int:
     """One denominator D for the whole check: a multiple of every interval
-    endpoint's and breakpoint's denominator and of den(slope) * Dx for every
-    arc segment, where Dx is the lcm of the x-denominators.  So the value of
-    a segment at any x-lattice point, y0 + slope * (a - x0), is on 1/D."""
-    xden = {v.denominator for iv in ivs for v in (iv.lo, iv.hi)}
-    yden = set()
-    slope_den = set()
-    for arc in rel.arcs:
-        if arc.kind == VER:
-            xden.add(arc.x.denominator)
-            yden.update((arc.ys.lo.denominator, arc.ys.hi.denominator))
-            continue
-        bps = arc.homeo.breakpoints
-        dx, (xs,) = _scaled([x for x, _ in bps])
-        dy, (ys,) = _scaled([y for _, y in bps])
-        xden.add(dx)
-        yden.add(dy)
-        # the slope (y1 - y0) dx / ((x1 - x0) dy) in lowest terms
-        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-            den = (x1 - x0) * dy
-            slope_den.add(den // math.gcd((y1 - y0) * dx, den))
-    return math.lcm(math.lcm(*xden) * math.lcm(*slope_den), *yden)
+    endpoint's and breakpoint's denominator on which every arc segment's
+    slope maps the x-lattice 1/Dx, Dx the lcm of the x-denominators, to
+    integers.  So the value of a segment at any x-lattice point,
+    y0 + slope * (a - x0), is on 1/D."""
+    vers = [arc for arc in rel.arcs if arc.kind == VER]
+    curves = [arc.homeo.breakpoints for arc in rel.arcs if arc.kind != VER]
+    lone_xs = [v for iv in ivs for v in (iv.lo, iv.hi)] + [arc.x for arc in vers]
+    lone_ys = [v for arc in vers for v in (arc.ys.lo, arc.ys.hi)]
+    dx, (_, *xs) = _scaled(lone_xs, *([x for x, _ in bps] for bps in curves))
+    dy, (_, *ys) = _scaled(lone_ys, *([y for _, y in bps] for bps in curves))
+    slopes = (s for cx, cy in zip(xs, ys) for s in _slopes(cx, cy, dx, dy))
+    return _lattice_for(math.lcm(dx, dy), dx, slopes)
 
 
 def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:

@@ -9,11 +9,11 @@ drops one coordinate per application:
 
 Diagonal steps run in integer arithmetic on a batch of points of one
 depth, held column by column on one lattice 1/d (a multiple of every
-breakpoint x-denominator of the system's maps).  Each map is evaluated at
-the sorted distinct values of a column with one sweep (`_on_curve`), every
-image is re-checked against the bonding maps the same way, and the
-lattice grows wherever a map's slopes need it.  `point_from_tip`,
-`validate_point` and `apply_diagonal` are one-point calls of that kernel.
+breakpoint x-denominator of the system's maps).  Each map is evaluated on
+a whole column with one sweep (`_on_curve`), every image is re-checked
+against the bonding maps the same way, and the lattice grows wherever a
+map's slopes need it.  `point_from_tip`, `validate_point` and
+`apply_diagonal` are one-point calls of that kernel.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ class TruncatedPoint:
 # A batch of truncated points of one depth: (d, cols), coordinate x_i of
 # point j is cols[i][j] / d.
 Batch = tuple[int, list[list[int]]]
-
-
-def _map_column(m: PLMap, d: int, col: list[int]) -> tuple[int, list[int]]:
-    """m at every entry of the column (on 1/d), one sweep over its sorted
-    distinct values: (n, the images over n)."""
-    ts = sorted(set(col))
-    n, vs = _on_curve(m, d, ts)
-    image = dict(zip(ts, vs))
-    return n, [image[t] for t in col]
 
 
 def _point(batch: Batch, j: int) -> TruncatedPoint:
@@ -133,7 +124,7 @@ class DiagonalSystem:
         x_{i-1} = f_i(x_i), one sweep of f_i per level."""
         d, cols = self._rescaled([(d, tips)])
         for i in range(depth, 0, -1):
-            top = _map_column(self.bonding(i), d, cols[0])
+            top = _on_curve(self.bonding(i), d, cols[0])
             d, cols = self._rescaled([top] + [(d, col) for col in cols])
         return d, cols
 
@@ -142,7 +133,7 @@ class DiagonalSystem:
         sweep of f_i per level; a broken thread raises CompositionError."""
         d, cols = batch
         for i in range(1, len(cols)):
-            n, images = _map_column(self.bonding(i), d, cols[i])
+            n, images = _on_curve(self.bonding(i), d, cols[i])
             m = math.lcm(n, d)
             a, b = m // n, m // d
             for x, y, prev in zip(cols[i], images, cols[i - 1]):
@@ -162,7 +153,7 @@ class DiagonalSystem:
         depth = len(cols) - 1
         if depth == 0:
             raise DepthExhaustedError("cannot apply the diagonal map at depth 0")
-        images = [_map_column(self.diagonal_maps(i + 1), d, cols[i + 1]) for i in range(depth)]
+        images = [_on_curve(self.diagonal_maps(i + 1), d, cols[i + 1]) for i in range(depth)]
         if self.shift_like:
             images.append((d, cols[depth - 1]))
         out = self._rescaled(images)

@@ -4,9 +4,10 @@ Maps hold their breakpoints as `fractions.Fraction`.  Composition runs in
 integer arithmetic: the breakpoints of both maps are put on integer
 lattices, one per axis, chosen so that every breakpoint and value of the
 result is an exact integer, and the `Fraction` map is built once at the
-end.  The lattice helpers here (`_scaled`, `_lattice_for`, `_exact`,
-`_lattice_sweep`) serve the parameterized curve, the branch kernel and
-horseshoe verification too.  Nothing in this module touches floating
+end.  The integer-lattice helpers here (`_on_lattice`, `_scaled`,
+`_slopes`, `_lattice_for`, `_exact`, `_on_shared_axis`, `_value`,
+`_lattice_sweep`, `_on_curve`) are the one set that every other module
+imports; none defines its own.  Nothing in this module touches floating
 point except the entropy estimates at the very end, which report
 logarithms of exactly computed integers.
 """
@@ -264,16 +265,25 @@ def _sign(v: Fraction) -> int:
 
 
 def _on_lattice(q: Fraction, d: int) -> int:
-    """q on the integer lattice 1/d: its numerator over d, which must be a
-    multiple of q's denominator."""
-    return q.numerator * (d // q.denominator)
+    """q on the integer lattice 1/d: q*d, which must be an integer; a
+    remainder raises, it never rounds."""
+    num, den = q.as_integer_ratio()
+    if d % den:
+        raise ArithmeticError(f"{q} is off the integer lattice 1/{d}")
+    return num * (d // den)
 
 
 def _scaled(*seqs: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     """The rationals of every sequence on one integer lattice 1/d, d the
     least common denominator of them all: (d, one int list per sequence)."""
-    d = math.lcm(*(q.denominator for seq in seqs for q in seq))
-    return d, [[q.numerator * (d // q.denominator) for q in seq] for seq in seqs]
+    d = math.lcm(*{q.denominator for seq in seqs for q in seq})
+    return d, [[_on_lattice(q, d) for q in seq] for seq in seqs]
+
+
+def _slopes(xs: Sequence[int], ys: Sequence[int], dx: int, dy: int) -> list[tuple[int, int]]:
+    """Per segment of the PL curve through (xs[i]/dx, ys[i]/dy), its slope
+    as the ratio (num, den), not reduced."""
+    return [((ys[k + 1] - ys[k]) * dx, (xs[k + 1] - xs[k]) * dy) for k in range(len(xs) - 1)]
 
 
 def _lattice_for(d: int, shared: int, slopes) -> int:
@@ -289,6 +299,29 @@ def _exact(num: int, den: int) -> int:
     if rem:
         raise ArithmeticError("value is off the integer lattice")
     return quo
+
+
+def _on_shared_axis(ins, outs, slopes, s_in: int, m_out: int, shared: int, n_out: int):
+    """A PL curve as a function of Z on the shared axis, with Z = ins*s_in
+    and value outs*m_out over n_out: its breakpoints in Z, increasing, and
+    per segment (w, c) with value w + Z*c, where c = n_out*num / (shared*den)
+    for the segment's slope num/den."""
+    pieces = []
+    for k, (num, den) in enumerate(slopes):
+        c = _exact(n_out * num, shared * den)
+        pieces.append((outs[k] * m_out - ins[k] * s_in * c, c))
+    zs = [v * s_in for v in ins]
+    if zs[0] > zs[-1]:
+        zs.reverse()
+        pieces.reverse()
+    return zs, pieces
+
+
+def _value(zs: list[int], pieces: list[tuple[int, int]], z: int) -> int:
+    """The value at z, inside [zs[0], zs[-1]], of the `_on_shared_axis`
+    function (zs, pieces)."""
+    w, c = pieces[min(bisect_right(zs, z), len(pieces)) - 1]
+    return w + z * c
 
 
 def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]:
@@ -308,21 +341,22 @@ def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]
     return out
 
 
-def _on_curve(m: PLMap, d: int, ts: list[int]) -> tuple[int, list[int]]:
-    """m at every t of the increasing ts, on a lattice 1/d that holds m's
-    breakpoints, in one integer sweep: (n, the values over n), n the least
-    multiple of the denominators of m's values on which every slope of m
-    maps 1/d to integers.  A t off m's domain raises DomainError."""
+def _on_curve(m: PLMap, d: int, col: list[int]) -> tuple[int, list[int]]:
+    """m at every entry of the column, on a lattice 1/d that holds m's
+    breakpoints, in one integer sweep over its sorted distinct values:
+    (n, the values over n in column order), n the least multiple of the
+    denominators of m's values on which every slope of m maps 1/d to
+    integers.  An entry off m's domain raises DomainError."""
     pts = m.breakpoints
-    mts = [_exact(x.numerator * d, x.denominator) for x, _ in pts]
+    mts = [_on_lattice(x, d) for x, _ in pts]
+    ts = sorted(set(col))
     if ts and not (mts[0] <= ts[0] and ts[-1] <= mts[-1]):
         off = ts[0] if ts[0] < mts[0] else ts[-1]
         raise DomainError(f"{Fraction(off, d)} outside domain [{pts[0][0]}, {pts[-1][0]}]")
     dy, (ys,) = _scaled([y for _, y in pts])
-    n = _lattice_for(
-        dy, d, (((y1 - y0) * d, (t1 - t0) * dy) for t0, t1, y0, y1 in zip(mts, mts[1:], ys, ys[1:]))
-    )
-    return n, _lattice_sweep(mts, [y * (n // dy) for y in ys], ts)
+    n = _lattice_for(dy, d, _slopes(mts, ys, d, dy))
+    image = dict(zip(ts, _lattice_sweep(mts, [y * (n // dy) for y in ys], ts)))
+    return n, [image[t] for t in col]
 
 
 def identity_map(interval: Interval = UNIT) -> PLMap:
@@ -356,21 +390,15 @@ def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
             f"range {g.range} of inner map not contained in domain {f.domain} of outer map"
         )
     gsteps = [(gxs[k + 1] - gxs[k], gus[k + 1] - gus[k]) for k in range(len(gxs) - 1)]
-    fsteps = [(fus[j + 1] - fus[j], fys[j + 1] - fys[j]) for j in range(len(fus) - 1)]
+    fslopes = _slopes(fus, fys, shared, fy)
     nx = _lattice_for(gx, shared, ((dx * shared, du * gx) for dx, du in gsteps if du))
-    ny = _lattice_for(fy, shared, ((dy * shared, du * fy) for du, dy in fsteps))
+    ny = _lattice_for(fy, shared, fslopes)
     mx, my = nx // gx, ny // fy
-    fcs = [_exact(my * dy, du) for du, dy in fsteps]
-    last = len(fus) - 2
-
-    def f_at(u: int) -> int:
-        j = min(bisect_right(fus, u) - 1, last)
-        return fys[j] * my + (u - fus[j]) * fcs[j]
-
+    fzs, fpieces = _on_shared_axis(fus, fys, fslopes, 1, my, shared, ny)
     xs, ys = [], []
     for x0, u0, (dx, du) in zip(gxs, gus, gsteps):
         xs.append(x0 * mx)
-        ys.append(f_at(u0))
+        ys.append(_value(fzs, fpieces, u0))
         if not du:
             continue
         c = _exact(mx * dx, du)
@@ -382,7 +410,7 @@ def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
             xs.append(x0 * mx + (fus[j] - u0) * c)
             ys.append(fys[j] * my)
     xs.append(gxs[-1] * mx)
-    ys.append(f_at(gus[-1]))
+    ys.append(_value(fzs, fpieces, gus[-1]))
     if cap_breakpoints is not None and len(xs) > cap_breakpoints:
         raise ResourceError(
             f"composition would have {len(xs)} breakpoints (cap {cap_breakpoints})"

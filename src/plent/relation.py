@@ -158,6 +158,17 @@ def _ends(arc: MonotoneArc) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return x0, x1, y0, y1
 
 
+def _without_covered_points(arcs) -> list[MonotoneArc]:
+    """The arcs, less every point arc that lies on a non-point arc."""
+    solid = [arc for arc in arcs if not arc.is_point()]
+    return solid + [
+        p
+        for p in arcs
+        if p.is_point()
+        and not any((fib := a.fiber(p.x)) is not None and fib.contains(p.ys.lo) for a in solid)
+    ]
+
+
 class PLRelation:
     """Finite union of monotone arcs, with set-level equality semantics."""
 
@@ -197,15 +208,8 @@ class PLRelation:
         canon = object.__getattribute__(self, "_canon")
         if canon is not None:
             return canon
-        solid = [arc for arc in self.arcs if not arc.is_point()]
-        points = [
-            p
-            for p in self.arcs
-            if p.is_point()
-            and not any((fib := a.fiber(p.x)) is not None and fib.contains(p.ys.lo) for a in solid)
-        ]
         by_line: dict[tuple, list[Interval]] = {}
-        for arc in solid + points:
+        for arc in _without_covered_points(self.arcs):
             for (px, py), (qx, qy) in arc.segments():
                 if px == qx:
                     key = ("v", px)
@@ -332,7 +336,8 @@ def _compose_pair(r: MonotoneArc, s: MonotoneArc) -> Optional[MonotoneArc]:
 
 def compose_rel(s: PLRelation, r: PLRelation) -> PLRelation:
     """The relation s o r = {(x, z) : exists y, (x,y) in r and (y,z) in s},
-    every point kept: a degenerate overlap gives a point arc."""
+    every point kept: a degenerate overlap gives a point arc, dropped only
+    when it lies on another arc of the result."""
     arcs = []
     for ra in r.arcs:
         for sa in s.arcs:
@@ -341,7 +346,7 @@ def compose_rel(s: PLRelation, r: PLRelation) -> PLRelation:
                 arcs.append(arc)
     if not arcs:
         raise CompositionError("composition of relations is empty")
-    return PLRelation(arcs)
+    return PLRelation(_without_covered_points(arcs))
 
 
 def rel_power(rel: PLRelation, k: int) -> PLRelation:

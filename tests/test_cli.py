@@ -4,11 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from plent.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS, gate  # noqa: E402
 
 
 def run(tmp_path, *argv):
@@ -22,6 +26,14 @@ def read_json(tmp_path, name):
 def read_csv(tmp_path, name):
     with open(Path(tmp_path) / name, newline="") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.values(), ids=WORKLOADS.keys())
+def test_benchmark_workload_artifacts_are_byte_identical(tmp_path, workload):
+    """Each benchmark job, run in process, passes the benchmark's gate: exit
+    0, exactly the recorded artifacts with their SHA-256 digests, and the
+    known answer."""
+    assert gate(workload, run(tmp_path, *workload.argv), False, tmp_path) == []
 
 
 def test_commute_check_coprime_tents(tmp_path):

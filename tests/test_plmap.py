@@ -13,6 +13,7 @@ from plent.plmap import (
     PLMap,
     UNIT,
     _on_curve,
+    _on_lattice,
     compose,
     constant_map,
     constant_slope,
@@ -284,9 +285,18 @@ def test_on_curve_equals_pointwise_evaluation(m, scale):
     lo, hi = (int(x * d) for x in (m.domain.lo, m.domain.hi))
     # the breakpoints and about 50 lattice points between them
     ts = sorted({*(int(x * d) for x, _ in m.breakpoints), *range(lo, hi, max(1, (hi - lo) // 50))})
-    n, values = _on_curve(m, d, ts)
-    assert [F(v, n) for v in values] == [m(F(t, d)) for t in ts]
+    # sorted, and as an unsorted column with repeated values, whose values
+    # come back in column order
+    for col in (ts, [*ts[1::2], *reversed(ts), ts[0]]):
+        n, values = _on_curve(m, d, col)
+        assert [F(v, n) for v in values] == [m(F(t, d)) for t in col]
     # off the domain on either side, as PLMap evaluation reports it
     for off in ([lo - 1, *ts], [*ts, hi + 1]):
         with pytest.raises(DomainError):
             _on_curve(m, d, off)
+
+
+def test_on_lattice_raises_on_a_remainder_instead_of_rounding():
+    assert _on_lattice(F(1, 3), 6) == 2
+    with pytest.raises(ArithmeticError):
+        _on_lattice(F(1, 3), 4)  # 1/3 is not on the lattice 1/4

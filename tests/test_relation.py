@@ -17,6 +17,7 @@ from plent.relation import (
     VER,
     MonotoneArc,
     PLRelation,
+    _compose_pair,
     commutes,
     compose_rel,
     diagonal,
@@ -194,6 +195,32 @@ def test_compose_against_bruteforce_fibers(rng):
             for ra in r.arcs
             for sa in s.arcs
         )
+
+
+def test_composition_keeps_no_point_lying_on_another_arc():
+    """compose_rel drops a point arc that lies on another arc of the result,
+    so a strong-commutation witness lists each point once; the point set is
+    that of every pairwise composition."""
+    rng = random.Random(1212)
+    pairs = [(graph_of(tent(m)), inverse_rel(graph_of(tent(n)))) for n, m in [(2, 2), (4, 6), (2, 4), (3, 6)]]
+    pairs += [
+        tuple(PLRelation([_random_arc(rng) for _ in range(rng.randint(1, 4))]) for _ in range(2))
+        for _ in range(300)
+    ]
+    dropped = 0
+    for s, r in pairs:
+        try:
+            comp = compose_rel(s, r)
+        except (CompositionError, UnsupportedRelationError):
+            continue
+        every = [arc for ra in r.arcs for sa in s.arcs if (arc := _compose_pair(ra, sa)) is not None]
+        assert rel_equals(comp, PLRelation(every))
+        solid = [arc for arc in comp.arcs if not arc.is_point()]
+        for p in comp.arcs:
+            if p.is_point() and solid:
+                assert not any(iv.contains(p.ys.lo) for iv in fiber_intervals(PLRelation(solid), p.x))
+        dropped += len({arc.key() for arc in every}) - len(comp.arcs)
+    assert dropped > 0  # the cases must contain covered points to mean anything
 
 
 @pytest.mark.parametrize("inner, outer", [((0, F(1, 2)), (F(1, 2), 1)), ((F(1, 2), 1), (0, F(1, 2)))])
