@@ -12,8 +12,7 @@ deduplicated branch counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .branch import branch_counts
 from .entropy import HorseshoeCert, find_horseshoe
@@ -39,8 +38,7 @@ def unit_copy(f: PLMap, block: Interval) -> PLMap:
     return PLMap([((x - block.lo) / w, (y - block.lo) / w) for x, y in piece.breakpoints])
 
 
-@dataclass(frozen=True)
-class BlockRow:
+class BlockRow(NamedTuple):
     block: int
     interval: Interval
     lower: float
@@ -50,8 +48,7 @@ class BlockRow:
     cert: Optional[HorseshoeCert]
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     k: int
     n_k: int
     rows: tuple[BlockRow, ...]

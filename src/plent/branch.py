@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidFamilyError, ResourceError
 from .plmap import (
@@ -36,8 +35,7 @@ from .plmap import (
 from .relation import INC, DEC, MonotoneArc, PLRelation, _compose_strict, param_graph
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """A strictly monotone arc together with how it was produced.
 
     ``provenance`` is None at level 1, else the pair (i, j): this branch is
@@ -56,8 +54,7 @@ class Branch:
         return self.arc.ran
 
 
-@dataclass(frozen=True)
-class _Lattice:
+class _Lattice(NamedTuple):
     """Strict PL arcs as integer breakpoints over one denominator per axis.
 
     Arc n has the breakpoints (x_i/dx, y_i/dy), where keys[n] is the flat

@@ -64,8 +64,8 @@ def _positive_rat_list(text: str) -> list[Fraction]:
     return [_positive_rat(t) for t in text.split(",")]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",")]
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive_int(t) for t in text.split(",")]
 
 
 def _build_relation(args) -> PLRelation:
@@ -223,7 +223,7 @@ def cmd_appendix(args) -> int:
     ok = compat
     for k in range(1, args.kmax + 1):
         rep = level_report(args.nseq, args.s, k, k_branch=args.kbranch)
-        target = max(math.log(float(Fraction(args.s))), math.log(rep.n_k))
+        target = max(math.log(float(args.s)), math.log(rep.n_k))
         slack = math.log(rep.rows[0].k_branch + 1) / rep.rows[0].k_branch
         level_ok = rep.lower >= target - 1e-12 and rep.upper <= target + slack + 1e-12
         ok = ok and level_ok
@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_commute_check)
 
     p = sub.add_parser("branches", help="branch family counts")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--m", type=_positive_int, default=None)
     p.add_argument("--f", default=None)
     p.add_argument("--g", default=None)
     p.add_argument("--kmax", type=_positive_int, default=6)
@@ -276,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default=None)
     p.add_argument("--mode", choices=["graph", "param", "invcomp"], default="param")
     p.add_argument("--power", type=_positive_int, default=1)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_horseshoe)
 
     p = sub.add_parser("bracket", help="entropy bracket for a coprime tent pair")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--kmax", type=_positive_int, default=6)
     _add_common(p)
     p.set_defaults(fn=cmd_bracket)
@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invlim)
 
     p = sub.add_parser("appendix", help="blockwise bounds for the dyadic-block system")
-    p.add_argument("--s", default="2")
-    p.add_argument("--nseq", type=_int_list, required=True)
+    p.add_argument("--s", type=_positive_rat, default="2")
+    p.add_argument("--nseq", type=_positive_int_list, required=True)
     p.add_argument("--kmax", type=_positive_int, default=3)
     p.add_argument("--kbranch", type=_positive_int, default=5)
     _add_common(p)

@@ -13,10 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .branch import branch_counts
 from .errors import CompositionError, ResourceError
@@ -36,8 +35,7 @@ from .relation import (
 # orbit enumeration
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(NamedTuple):
     n: int
     grid: Fraction
     orbits: tuple[tuple[Fraction, ...], ...]
@@ -245,8 +243,7 @@ def spanning_count(
     return count
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class EstimateRow(NamedTuple):
     n: int
     eps: Fraction
     grid: Fraction
@@ -279,8 +276,7 @@ def entropy_estimate(
 # horseshoes
 
 
-@dataclass(frozen=True)
-class HorseshoeCert:
+class HorseshoeCert(NamedTuple):
     """N pairwise disjoint intervals whose union lies in the image of each
     one; verified exactly, so log N is a true entropy lower bound."""
 
@@ -441,8 +437,7 @@ def find_horseshoe(rel: PLRelation, n: int) -> Optional[HorseshoeCert]:
     return None
 
 
-@dataclass(frozen=True)
-class IterateBound:
+class IterateBound(NamedTuple):
     k: int
     n: int
     bound: float  # (1/k) log n
@@ -480,8 +475,7 @@ def iterate_horseshoe_bound(
 # the bracket pipeline
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     n: int
     m: int
     target: float  # log max(n, m)

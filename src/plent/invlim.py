@@ -19,9 +19,8 @@ map's slopes need it.  `point_from_tip`, `validate_point` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CompositionError, DepthExhaustedError, LiftingError
 from .plmap import PLMap, _on_curve, _scaled, as_rat, compose, map_equals
@@ -29,17 +28,21 @@ from .relation import PLRelation, param_graph
 from .entropy import _grid_points, separated_count
 
 
-@dataclass(frozen=True)
-class TruncatedPoint:
+class _TruncatedPoint(NamedTuple):
     coords: tuple[Fraction, ...]  # (x_0, ..., x_depth)
+
+
+class TruncatedPoint(_TruncatedPoint):
+    __slots__ = ()
+
+    def __new__(cls, coords: tuple[Fraction, ...]):
+        if not coords:
+            raise ValueError("a truncated point needs at least coordinate x_0")
+        return tuple.__new__(cls, (coords,))
 
     @property
     def depth(self) -> int:
         return len(self.coords) - 1
-
-    def __post_init__(self):
-        if not self.coords:
-            raise ValueError("a truncated point needs at least coordinate x_0")
 
 
 # A batch of truncated points of one depth: (d, cols), coordinate x_i of
@@ -262,8 +265,7 @@ def lift_orbit(
     return point
 
 
-@dataclass(frozen=True)
-class DiagonalEstimateRow:
+class DiagonalEstimateRow(NamedTuple):
     n: int
     eps: Fraction
     s_count: int

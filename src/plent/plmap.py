@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     CompositionError,
@@ -42,17 +41,21 @@ def as_rat(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Closed subinterval of [0,1]. Degenerate (lo == hi) intervals are
-    allowed and stand for single points."""
-
+class _Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if not (ZERO <= self.lo <= self.hi <= ONE):
-            raise ValueError(f"not a subinterval of [0,1]: [{self.lo}, {self.hi}]")
+
+class Interval(_Interval):
+    """Closed subinterval of [0,1]. Degenerate (lo == hi) intervals are
+    allowed and stand for single points."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if not (ZERO <= lo <= hi <= ONE):
+            raise ValueError(f"not a subinterval of [0,1]: [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def length(self) -> Fraction:
@@ -116,6 +119,9 @@ class PLMap:
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("PLMap is immutable")
+
+    def __reduce__(self):
+        return PLMap, (self.breakpoints,)
 
     @classmethod
     def _from_canonical(cls, pts: tuple) -> "PLMap":
@@ -391,7 +397,8 @@ def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
         )
     gsteps = [(gxs[k + 1] - gxs[k], gus[k + 1] - gus[k]) for k in range(len(gxs) - 1)]
     fslopes = _slopes(fus, fys, shared, fy)
-    nx = _lattice_for(gx, shared, ((dx * shared, du * gx) for dx, du in gsteps if du))
+    ginv = [s for s in _slopes(gus, gxs, shared, gx) if s[1]]  # slopes of g's inverse, no flat ones
+    nx = _lattice_for(gx, shared, ginv)
     ny = _lattice_for(fy, shared, fslopes)
     mx, my = nx // gx, ny // fy
     fzs, fpieces = _on_shared_axis(fus, fys, fslopes, 1, my, shared, ny)
@@ -441,8 +448,7 @@ def map_equals(f: PLMap, g: PLMap) -> bool:
     return f.breakpoints == g.breakpoints
 
 
-@dataclass(frozen=True)
-class LapGrowth:
+class LapGrowth(NamedTuple):
     """Lap-count entropy data: terms[n-1] = log(laps(f^{n+1}) - 1) / n ...
 
     `terms` holds (1/n) * log(lap_count(f^n) - 1) for n = 1..n_max, with a

@@ -17,9 +17,8 @@ particular arc decomposition does not matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import CompositionError, UnsupportedRelationError
 from .plmap import (
@@ -41,37 +40,36 @@ HOR = "hor"
 VER = "ver"
 
 
-@dataclass(frozen=True)
-class MonotoneArc:
+class _MonotoneArc(NamedTuple):
     kind: str
-    homeo: Optional[PLMap] = None  # inc / dec / hor
-    x: Optional[Fraction] = None  # ver
-    ys: Optional[Interval] = None  # ver
+    homeo: Optional[PLMap]  # inc / dec / hor
+    x: Optional[Fraction]  # ver
+    ys: Optional[Interval]  # ver
 
-    def __post_init__(self):
-        if self.kind in (INC, DEC, HOR):
-            if self.homeo is None or self.x is not None or self.ys is not None:
+
+class MonotoneArc(_MonotoneArc):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, homeo=None, x=None, ys=None):
+        if kind in (INC, DEC, HOR):
+            if homeo is None or x is not None or ys is not None:
                 raise ValueError("non-vertical arcs are defined by a PL map only")
-            signs = set(self.homeo.slope_signs())
-            want = {INC: {1}, DEC: {-1}, HOR: {0}}[self.kind]
+            signs = set(homeo.slope_signs())
+            want = {INC: {1}, DEC: {-1}, HOR: {0}}[kind]
             if signs != want:
-                raise ValueError(f"arc kind {self.kind} inconsistent with map slopes")
-        elif self.kind == VER:
-            if self.homeo is not None or self.x is None or self.ys is None:
+                raise ValueError(f"arc kind {kind} inconsistent with map slopes")
+        elif kind == VER:
+            if homeo is not None or x is None or ys is None:
                 raise ValueError("vertical arcs need x and a y-interval")
         else:
-            raise ValueError(f"unknown arc kind {self.kind!r}")
+            raise ValueError(f"unknown arc kind {kind!r}")
+        return tuple.__new__(cls, (kind, homeo, x, ys))
 
     @staticmethod
     def _trusted(kind: str, homeo: PLMap) -> "MonotoneArc":
         # fast path for callers that already know the arc kind; skips
         # the slope-sign consistency validation
-        arc = object.__new__(MonotoneArc)
-        object.__setattr__(arc, "kind", kind)
-        object.__setattr__(arc, "homeo", homeo)
-        object.__setattr__(arc, "x", None)
-        object.__setattr__(arc, "ys", None)
-        return arc
+        return tuple.__new__(MonotoneArc, (kind, homeo, None, None))
 
     @staticmethod
     def from_map(piece: PLMap) -> "MonotoneArc":

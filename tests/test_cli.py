@@ -186,6 +186,8 @@ def test_failures_produce_report_and_exit_two(tmp_path):
         ["invlim", "--f", "tent:2", "--grid", "0"],
         ["invlim", "--f", "tent:2", "--eps=-1/16"],
         ["invlim", "--f", "tent:2", "--eps", "x"],
+        ["appendix", "--nseq", "2,5", "--s", "abc"],
+        ["appendix", "--nseq", "2,5", "--s", "0"],
     ],
 )
 def test_eps_and_grid_must_be_positive_rationals(tmp_path, argv, capsys):
@@ -212,6 +214,13 @@ def test_eps_and_grid_must_be_positive_rationals(tmp_path, argv, capsys):
         ["horseshoe", "--f", "tent:2", "--mode", "graph", "--n", "2", "--power", "0"],
         ["appendix", "--nseq", "2,5", "--kmax", "0"],
         ["appendix", "--nseq", "2,5", "--kbranch", "0"],
+        ["bracket", "--n", "0", "--m", "2"],
+        ["bracket", "--n", "3", "--m=-2"],
+        ["branches", "--n", "x", "--m", "3"],
+        ["branches", "--n", "3", "--m", "0"],
+        ["horseshoe", "--f", "tent:2", "--mode", "graph", "--n", "0"],
+        ["appendix", "--nseq", "0,5"],
+        ["appendix", "--nseq", "2,x"],
     ],
 )
 def test_count_flags_must_be_positive_integers(tmp_path, argv, capsys):
