@@ -60,6 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _horseshoe_size(text: str) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a horseshoe needs at least 2 intervals, got {text!r}")
+    return value
+
+
 def _positive_rat_list(text: str) -> list[Fraction]:
     return [_positive_rat(t) for t in text.split(",")]
 
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default=None)
     p.add_argument("--mode", choices=["graph", "param", "invcomp"], default="param")
     p.add_argument("--power", type=_positive_int, default=1)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_horseshoe_size, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_horseshoe)
 

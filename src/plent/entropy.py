@@ -64,48 +64,52 @@ def _successors(rel: PLRelation, x: Fraction, grid: Fraction) -> list[Fraction]:
     return sorted(out)
 
 
+def _orbit_levels(
+    rel: PLRelation, n: int, grid: Fraction, cap_orbits: int
+) -> Iterator[tuple[list[tuple[Fraction, ...]], list[int]]]:
+    """The orbits of lengths 1..n, level by level: (orbits, starts), where
+    the children of orbit p of the level before (the one empty orbit, for
+    length 1) are orbits[starts[p]:starts[p + 1]], their last coordinates
+    increasing.  A level of more than cap_orbits orbits raises, checked
+    after each parent's children."""
+    grid = as_rat(grid)
+    # successors keyed by an orbit's last coordinate, as a 0- or 1-tuple:
+    # the empty orbit's are the grid points
+    succ: dict[tuple[Fraction, ...], list[Fraction]] = {(): _grid_points(grid)}
+    level: list[tuple[Fraction, ...]] = [()]
+    for m in range(1, n + 1):
+        nxt: list[tuple[Fraction, ...]] = []
+        starts = [0]
+        for orbit in level:
+            ys = succ.get(orbit[-1:])
+            if ys is None:
+                ys = succ[orbit[-1:]] = _successors(rel, orbit[-1], grid)
+            nxt.extend(orbit + (y,) for y in ys)
+            starts.append(len(nxt))
+            if len(nxt) > cap_orbits:
+                raise ResourceError(
+                    f"orbit count exceeds cap {cap_orbits}",
+                    partial=OrbitSet(m, grid, tuple(nxt)),
+                )
+        level = nxt
+        yield level, starts
+
+
 def enumerate_orbits(
     rel: PLRelation, n: int, grid: Fraction, cap_orbits: int = 200_000
 ) -> OrbitSet:
-    """All length-n orbits of the relation starting on the grid.
+    """All length-n orbits of the relation starting on the grid (n >= 1),
+    the last level of the orbit extension that `entropy_estimate` counts.
 
     Every consecutive pair of an orbit is exactly a member of the relation;
     interval fibers are sampled at their endpoints and interior grid
     multiples, so membership is exact even though the set is finite.
     """
-    grid = as_rat(grid)
-    starts = _grid_points(grid)
-    succ_cache: dict[Fraction, list[Fraction]] = {}
-
-    def successors(x: Fraction) -> list[Fraction]:
-        if x not in succ_cache:
-            succ_cache[x] = _successors(rel, x, grid)
-        return succ_cache[x]
-
-    def expand(start: Fraction) -> list[tuple[Fraction, ...]]:
-        frontier = [(start,)]
-        for _ in range(n - 1):
-            nxt = []
-            for orbit in frontier:
-                for y in successors(orbit[-1]):
-                    nxt.append(orbit + (y,))
-                    if len(nxt) > cap_orbits:
-                        raise ResourceError(
-                            f"orbit count exceeds cap {cap_orbits}",
-                            partial=OrbitSet(n, grid, tuple(nxt)),
-                        )
-            frontier = nxt
-        return frontier
-
-    orbits: list[tuple[Fraction, ...]] = []
-    for start in starts:
-        orbits.extend(expand(start))
-        if len(orbits) > cap_orbits:
-            raise ResourceError(
-                f"orbit count exceeds cap {cap_orbits}",
-                partial=OrbitSet(n, grid, tuple(orbits)),
-            )
-    return OrbitSet(n, grid, tuple(orbits))
+    if n < 1:
+        raise ValueError("orbits have length n >= 1")
+    for orbits, _ in _orbit_levels(rel, n, grid, cap_orbits):
+        pass
+    return OrbitSet(n, as_rat(grid), tuple(orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +122,24 @@ _EXACT_COMPONENT = 24
 
 def _closeness(points: Sequence[Sequence[Fraction]], eps: Fraction) -> list[set[int]]:
     """adj[i]: every j != i with |points[i][k] - points[j][k]| <= eps for
-    every coordinate k, the closeness graph of the sup norm.
-
-    A fixed-radius neighbour search (Bentley 1975) on one integer lattice
-    1/D, D the lcm of every denominator: points are bucketed by
-    floor(x_k / eps) on their first (at most three) coordinates, and two
-    close points lie in the same or neighbouring cells, so only those pairs
-    are compared, exactly, over all coordinates.
-    """
+    every coordinate k, the closeness graph of the sup norm; the points and
+    eps go on one integer lattice 1/D, D the lcm of every denominator, and
+    `_close_pairs` builds the graph there."""
     eps = as_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     _, ([e], *lattice) = _scaled([eps], *points)
+    return _close_pairs(lattice, e)
+
+
+def _close_pairs(lattice: Sequence[Sequence[int]], e: int) -> list[set[int]]:
+    """The sup-norm closeness graph of integer points at distance e.
+
+    A fixed-radius neighbour search (Bentley 1975): points are bucketed by
+    floor(x_k / e) on their first (at most three) coordinates, and two
+    close points lie in the same or neighbouring cells, so only those pairs
+    are compared, exactly, over all coordinates.
+    """
     k = min(3, *map(len, lattice)) if lattice else 0
     cells: dict[tuple[int, ...], list[int]] = {}
     for i, p in enumerate(lattice):
@@ -137,7 +147,7 @@ def _closeness(points: Sequence[Sequence[Fraction]], eps: Fraction) -> list[set[
     # each unordered pair of neighbouring cells once: the cell itself and
     # the offsets that are lexicographically positive
     offsets = [o for o in product((-1, 0, 1), repeat=k) if o > (0,) * k]
-    adj: list[set[int]] = [set() for _ in points]
+    adj: list[set[int]] = [set() for _ in lattice]
 
     def link(i: int, js) -> None:
         p = lattice[i]
@@ -155,6 +165,31 @@ def _closeness(points: Sequence[Sequence[Fraction]], eps: Fraction) -> list[set[
                 for i in members:
                     link(i, other)
     return adj
+
+
+def _child_closeness(
+    adj: list[set[int]], starts: list[int], vals: list[int], e: int
+) -> list[set[int]]:
+    """The closeness graph of one orbit level from the graph adj of the
+    level before.  Two orbits are close iff their parents are equal or
+    close and their last coordinates are within e, so each child is
+    compared, on its last coordinate only, with the children of its parent
+    and of its parent's neighbours.  The children of parent p are
+    vals[starts[p]:starts[p + 1]] (last coordinates on one integer lattice
+    with e), increasing, so the close ones form one bisected range."""
+    out: list[set[int]] = [set() for _ in vals]
+    for p, near in enumerate(adj):
+        kids = range(starts[p], starts[p + 1])
+        # each unordered pair of parents once, and each parent with itself
+        for q in (p, *(q for q in near if q > p)):
+            lo, hi = starts[q], starts[q + 1]
+            for c in kids:
+                v = vals[c]
+                for j in range(bisect_left(vals, v - e, lo, hi), bisect_right(vals, v + e, lo, hi)):
+                    if j != c:
+                        out[c].add(j)
+                        out[j].add(c)
+    return out
 
 
 def _max_independent(nodes: list[int], adj: list[set[int]]) -> int:
@@ -178,12 +213,18 @@ def separated_count(points: Sequence[Sequence[Fraction]], eps: Fraction) -> int:
 
     Exact (max independent set of the closeness graph) on every connected
     component of at most `_EXACT_COMPONENT` points; larger components fall
-    back to a greedy packing, which still yields a valid lower bound.
+    back to a greedy packing, which still yields a valid lower bound.  The
+    estimate tables count with the same body, `_separated`, on closeness
+    graphs that they refine from one orbit length to the next.
     """
-    adj = _closeness(points, eps)
+    return _separated(_closeness(points, eps))
+
+
+def _separated(adj: list[set[int]]) -> int:
+    """`separated_count` on the closeness graph adj."""
     seen = set()
     total = 0
-    for start in range(len(points)):
+    for start in range(len(adj)):
         if start in seen:
             continue
         comp = [start]
@@ -214,8 +255,12 @@ def spanning_count(
 ) -> int:
     """Smallest subset within eps of every point (exact set cover for at
     most `exact_cap` points, greedy upper bound beyond)."""
-    adj = _closeness(points, eps)
-    n = len(points)
+    return _spanning(_closeness(points, eps), exact_cap)
+
+
+def _spanning(adj: list[set[int]], exact_cap: int) -> int:
+    """`spanning_count` on the closeness graph adj."""
+    n = len(adj)
     covers = [a | {i} for i, a in enumerate(adj)]
     if n <= exact_cap:
         for size in range(1, n + 1):
@@ -260,15 +305,25 @@ def entropy_estimate(
     cap_orbits: int = 200_000,
 ) -> list[EstimateRow]:
     """Orbit-growth entropy table: one row per (n, eps), with the
-    separated-count estimate (1/n) log s and the spanning count alongside."""
+    separated-count estimate (1/n) log s and the spanning count alongside.
+
+    The orbits of each length n are extended from those of length n - 1
+    (see `enumerate_orbits`), and each eps's closeness graph from the one
+    of length n - 1 (`_child_closeness`); both counts read that one graph.
+    """
+    grid = as_rat(grid)
+    eps_list = [as_rat(eps) for eps in eps_schedule]
+    if any(eps <= 0 for eps in eps_list):
+        raise ValueError("eps must be positive")
+    graphs: list[list[set[int]]] = [[set()] for _ in eps_list]  # the empty orbit
     rows = []
-    for n in range(1, n_max + 1):
-        orbits = enumerate_orbits(rel, n, grid, cap_orbits=cap_orbits).orbits
-        for eps in eps_schedule:
-            eps = as_rat(eps)
-            s = separated_count(orbits, eps)
-            r = spanning_count(orbits, eps, exact_cap=0)  # a greedy upper bound on every set
-            rows.append(EstimateRow(n, eps, as_rat(grid), s, r, math.log(s) / n if s > 1 else 0.0))
+    for n, (orbits, starts) in enumerate(_orbit_levels(rel, n_max, grid, cap_orbits), 1):
+        _, (es, vals) = _scaled(eps_list, [orbit[-1] for orbit in orbits])
+        graphs = [_child_closeness(adj, starts, vals, e) for adj, e in zip(graphs, es)]
+        for eps, adj in zip(eps_list, graphs):
+            s = _separated(adj)
+            r = _spanning(adj, exact_cap=0)  # a greedy upper bound on every set
+            rows.append(EstimateRow(n, eps, grid, s, r, math.log(s) / n if s > 1 else 0.0))
     return rows
 
 

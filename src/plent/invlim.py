@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CompositionError, DepthExhaustedError, LiftingError
-from .plmap import PLMap, _on_curve, _scaled, as_rat, compose, map_equals
+from .plmap import PLMap, _make_checked, _on_curve, _scaled, as_rat, compose, map_equals
 from .relation import PLRelation, param_graph
-from .entropy import _grid_points, separated_count
+from .entropy import _close_pairs, _grid_points, _separated, separated_count
 
 
 class _TruncatedPoint(NamedTuple):
@@ -39,6 +39,8 @@ class TruncatedPoint(_TruncatedPoint):
         if not coords:
             raise ValueError("a truncated point needs at least coordinate x_0")
         return tuple.__new__(cls, (coords,))
+
+    _make = classmethod(_make_checked)
 
     @property
     def depth(self) -> int:
@@ -295,6 +297,11 @@ def entropy_estimate_diagonal(
     coordinates by 2^-i, which at desk scale would blind the estimator to
     everything below coordinate ~log2(1/eps).  The ignored tail is bounded
     by 2^-depth, reported per row.
+
+    The counts run on the batch's integer columns.  Trajectories close for
+    n steps are close for n - 1, so the closeness graph of step n keeps
+    the edges of step n - 1's graph whose step-n coordinates are within
+    eps; only step 1's graph is built by a neighbour search.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -303,25 +310,28 @@ def entropy_estimate_diagonal(
     d, (tips,) = _scaled(_grid_points(as_rat(grid)))
     batch = sys._push_down(d, tips, start_depth)
 
-    # a trajectory's n-step prefix as one flat point: two trajectories are
-    # separated within n steps iff these points are eps-separated
-    prefixes = [()] * len(tips)
-    shared: dict[int, dict[int, Fraction]] = {}  # one Fraction per (lattice, value)
     rows = []
     tail = Fraction(1, 2**depth)
     for n in range(1, n_max + 1):
         if n > 1:
             batch = sys._step(batch)
         d, cols = batch
-        cols = cols[: depth + 1]
-        qs = shared.setdefault(d, {})
-        for v in set().union(*cols).difference(qs):
-            qs[v] = Fraction(v, d)
-        prefixes = [
-            prefix + tuple(map(qs.__getitem__, point))
-            for prefix, point in zip(prefixes, zip(*cols))
-        ]
-        count = separated_count(prefixes, eps)
+        # step n's coordinates and eps on one lattice 1/m, eps as e/m
+        m = math.lcm(d, eps.denominator)
+        e = eps.numerator * (m // eps.denominator)
+        cols = [[v * (m // d) for v in col] for col in cols[: depth + 1]]
+        if n == 1:
+            # the first count is the public one, which also rejects eps <= 0;
+            # the graph that later steps refine is built beside it
+            points = list(zip(*cols))
+            count = separated_count(points, e)
+            adj = _close_pairs(points, e)
+        else:
+            adj = [
+                {j for j in near if all(abs(col[i] - col[j]) <= e for col in cols)}
+                for i, near in enumerate(adj)
+            ]
+            count = _separated(adj)
         rows.append(
             DiagonalEstimateRow(
                 n, eps, count, math.log(count) / n if count > 1 else 0.0, tail

@@ -41,6 +41,12 @@ def as_rat(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+def _make_checked(cls, iterable):
+    """`_make` of a record class that checks its fields: it builds through
+    the checking constructor, and so does `_replace`, which calls it."""
+    return cls(*iterable)
+
+
 class _Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
@@ -56,6 +62,8 @@ class Interval(_Interval):
         if not (ZERO <= lo <= hi <= ONE):
             raise ValueError(f"not a subinterval of [0,1]: [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi))
+
+    _make = classmethod(_make_checked)
 
     @property
     def length(self) -> Fraction:

@@ -25,6 +25,7 @@ from .plmap import (
     Interval,
     PLMap,
     RatLike,
+    _make_checked,
     _merge_collinear,
     _on_curve,
     _scaled,
@@ -64,6 +65,8 @@ class MonotoneArc(_MonotoneArc):
         else:
             raise ValueError(f"unknown arc kind {kind!r}")
         return tuple.__new__(cls, (kind, homeo, x, ys))
+
+    _make = classmethod(_make_checked)
 
     @staticmethod
     def _trusted(kind: str, homeo: PLMap) -> "MonotoneArc":
@@ -192,6 +195,9 @@ class PLRelation:
 
     def __setattr__(self, *a):
         raise AttributeError("PLRelation is immutable")
+
+    def __reduce__(self):
+        return PLRelation, (self.arcs,)
 
     def __repr__(self) -> str:
         return f"PLRelation({len(self.arcs)} arcs)"

@@ -5,6 +5,7 @@ its own wall-clock budget, so `pytest -v tests/test_acceptance.py` reads
 as a pass/fail checklist.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -52,6 +53,7 @@ from plent.invlim import (
 )
 from plent.errors import LiftingError
 from plent.blocks import appendix_system, level_report
+from plent.cli import main
 
 
 def test_criterion_1_exact_identity_suite():
@@ -246,3 +248,15 @@ def test_criterion_9_property_suites():
     deepest = {p.coords[p.depth] for p in family}
     assert len(deepest) == len(family)
     assert time.perf_counter() - start < 60
+
+
+def test_criterion_10_orbit_counts_at_length_seven(tmp_path):
+    """Orbits of the tent:2/tent:3 curve to length 7, counted at two scales
+    from closeness graphs extended level by level, with the same table."""
+    start = time.perf_counter()
+    argv = ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--grid", "1/32", "--eps", "1/8,1/16"]
+    assert main([*argv, "--nmax", "7", "--out", str(tmp_path)]) == 0
+    elapsed = time.perf_counter() - start
+    digest = hashlib.sha256((tmp_path / "entropy_rel.csv").read_bytes()).hexdigest()
+    assert digest == "b1ff2236414befeb67bc37dc233e25fcc5f5d322a4b1d484f81ec63bc7590dac"
+    assert elapsed < 1

@@ -231,6 +231,14 @@ def test_count_flags_must_be_positive_integers(tmp_path, argv, capsys):
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+def test_horseshoe_needs_at_least_two_intervals(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "horseshoe", "--f", "tent:2", "--mode", "graph", "--n", "1")
+    assert exc.value.code == 2
+    assert "at least 2 intervals" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("config", [{"nmax": 0}, {"depth": -2}, {"cap_orbits": "1/2"}])
 def test_config_counts_must_be_positive_integers(tmp_path, config, capsys):
     cfg = tmp_path / "cfg.json"
@@ -306,3 +314,12 @@ def test_bracket_caps_the_breakpoints_of_its_iterates(tmp_path):
     failure = read_json(tmp_path, "failure.json")
     assert failure["error"] == "ResourceError"
     assert "(cap 50)" in failure["message"]
+
+
+def test_orbit_cap_writes_the_same_failure_report(tmp_path):
+    # 513 orbits of length 5 start on the 1/32 grid, over the cap of 500
+    argv = ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--grid", "1/32", "--nmax", "6"]
+    assert run(tmp_path, *argv, "--cap-orbits", "500") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["failure.json"]
+    digest = hashlib.sha256((tmp_path / "failure.json").read_bytes()).hexdigest()
+    assert digest == "dfffb70322c6959760b5b9d9290e45a60228212589c27252b025beec1bd2b0d7"

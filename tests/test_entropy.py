@@ -9,7 +9,9 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plent.errors import ResourceError
 from plent.plmap import Interval, PLMap, compose, iterate, merge_intervals
 from plent.families import plateau_map, tent
 from plent.relation import (
@@ -36,6 +38,8 @@ from plent.entropy import (
     spanning_count,
     verify_horseshoe,
 )
+
+from test_relation import _random_arc
 
 
 # -- orbit enumeration -----------------------------------------------------------
@@ -220,6 +224,41 @@ def test_counts_match_the_reference_on_relation_orbits():
             assert spanning_count(orbits, eps, exact_cap=0) == reference_spanning_count(
                 orbits, eps, exact_cap=0
             )
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_estimate_rows_match_counts_from_scratch(rng):
+    """Each row's counts, read off a closeness graph extended level by level,
+    equal the counts recomputed on that level's orbits alone."""
+    rel = PLRelation([_random_arc(rng) for _ in range(rng.randint(1, 4))])
+    grid = F(1, rng.choice((2, 3, 4, 6, 8)))
+    eps_schedule = rng.sample((F(1, 8), F(1, 6), F(1, 4), F(2, 7), F(1, 3)), rng.randint(1, 3))
+    # as many levels as keep the all-pairs reference small
+    n_max = 1
+    while n_max < 5 and len(enumerate_orbits(rel, n_max + 1, grid).orbits) <= 120:
+        n_max += 1
+    rows = entropy_estimate(rel, eps_schedule, n_max, grid)
+    assert [(r.n, r.eps) for r in rows] == [(n, e) for n in range(1, n_max + 1) for e in eps_schedule]
+    for row in rows:
+        orbits = enumerate_orbits(rel, row.n, grid).orbits
+        assert row.s_count == separated_count(orbits, row.eps) == reference_separated_count(orbits, row.eps)
+        assert row.r_count == spanning_count(orbits, row.eps, exact_cap=0)
+
+
+def test_orbit_cap_fires_at_the_first_level_over_it():
+    rel = param_graph(tent(2), tent(3))
+    # the 1/32 grid starts 257 orbits of length 4 and 513 of length 5
+    for run in (
+        lambda: entropy_estimate(rel, [F(1, 8), F(1, 16)], 6, F(1, 32), cap_orbits=500),
+        lambda: enumerate_orbits(rel, 6, F(1, 32), cap_orbits=500),
+    ):
+        with pytest.raises(ResourceError, match="orbit count exceeds cap 500") as err:
+            run()
+        partial = err.value.partial
+        assert partial.n == 5 and len(partial.orbits) > 500
+        assert {len(orbit) for orbit in partial.orbits} == {5}
+    assert len(enumerate_orbits(rel, 4, F(1, 32), cap_orbits=257).orbits) == 257
 
 
 # -- horseshoes --------------------------------------------------------------------

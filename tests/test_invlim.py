@@ -380,6 +380,30 @@ def test_diagonal_counts_match_the_all_pairs_reference(sys_, depth, n_max, eps):
     assert counts == sorted(counts) and counts[-1] > counts[0]
 
 
+@pytest.mark.parametrize(
+    "sys_, depth, n_max, eps, grid",
+    [
+        (DiagonalSystem.shift(tent(2)), 1, 5, F(1, 8), F(1, 128)),
+        (DiagonalSystem.constant(tent(2), tent(3)), 2, 4, F(1, 16), F(1, 64)),
+    ],
+    ids=["shift", "diag"],
+)
+def test_every_diagonal_row_matches_the_reference_on_fraction_prefixes(sys_, depth, n_max, eps, grid):
+    """Each row's count, read off a closeness graph refined step by step,
+    is the all-pairs count of the n-step prefixes, built point by point."""
+    start_depth = depth if sys_.shift_like else depth + n_max - 1
+    points = [sys_.point_from_tip(start_depth, k * grid) for k in range(int(1 / grid) + 1)]
+    prefixes = [()] * len(points)
+    rows = entropy_estimate_diagonal(sys_, depth, n_max, eps, grid)
+    assert [r.n for r in rows] == list(range(1, n_max + 1))
+    for row in rows:
+        if row.n > 1:
+            points = [apply_diagonal(sys_, p) for p in points]
+        prefixes = [pre + p.coords[: depth + 1] for pre, p in zip(prefixes, points)]
+        assert row.s_count == reference_separated_count(prefixes, eps)
+    assert rows[0].s_count < rows[-1].s_count < len(points)
+
+
 @pytest.mark.parametrize("eps, grid", [(F(0), F(1, 64)), (F(1, 16), F(0)), (F(1, 16), F(-1, 64))])
 def test_diagonal_estimate_needs_positive_eps_and_grid(eps, grid):
     with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ from plent.branch import Branch, _Lattice
 from plent.entropy import BracketReport, EstimateRow, HorseshoeCert, IterateBound, OrbitSet
 from plent.invlim import DiagonalEstimateRow, TruncatedPoint
 from plent.plmap import Interval, LapGrowth, PLMap
-from plent.relation import DEC, HOR, INC, VER, MonotoneArc
+from plent.families import tent
+from plent.relation import DEC, HOR, INC, VER, MonotoneArc, param_graph, rel_equals
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,6 +69,15 @@ def test_records_survive_a_pickle_round_trip(record):
     assert repr(back) == repr(record)
 
 
+def test_a_pickled_relation_has_the_same_arcs():
+    rel = param_graph(tent(2), tent(3))
+    back = pickle.loads(pickle.dumps(rel))
+    assert type(back) is type(rel)
+    assert back.arcs == rel.arcs and rel_equals(back, rel)
+    with pytest.raises(AttributeError):
+        back.arcs = ()
+
+
 def test_a_pickled_map_is_the_same_canonical_map():
     f = PLMap([(0, 0), (F(1, 3), F(1, 3)), (F(1, 2), F(1, 2)), (1, 0)])
     back = pickle.loads(pickle.dumps(f))
@@ -96,6 +106,31 @@ def test_a_pickled_map_is_the_same_canonical_map():
 def test_validated_records_reject_bad_fields(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HALVES[0]._replace(hi=F(2)),
+        lambda: Interval._make((F(1), F(0))),
+        lambda: ARC._replace(kind=DEC),
+        lambda: MonotoneArc._make((VER, None, F(1, 2), None)),
+        lambda: RECORDS["TruncatedPoint"][0]._replace(coords=()),
+        lambda: TruncatedPoint._make(((),)),
+    ],
+    ids=["Interval._replace", "Interval._make", "MonotoneArc._replace", "MonotoneArc._make",
+         "TruncatedPoint._replace", "TruncatedPoint._make"],
+)
+def test_replace_and_make_check_the_fields(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_replace_and_make_build_the_same_record():
+    assert HALVES[0]._replace(lo=F(1, 2), hi=F(1)) == HALVES[1]
+    assert type(Interval._make((F(0), F(1, 2)))) is Interval
+    assert MonotoneArc._make(ARC) == ARC
+    assert TruncatedPoint._make(((F(1, 2), F(1, 4)),)) == RECORDS["TruncatedPoint"][0]
 
 
 def test_validated_records_take_their_fields_by_keyword():
