@@ -12,6 +12,8 @@ deduplicated branch counts.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .branch import branch_counts
@@ -22,11 +24,18 @@ from .plmap import Interval, PLMap, RatLike, as_rat, constant_slope
 from .relation import PLRelation, param_graph
 
 
+@lru_cache(maxsize=32)
+def _pair(k: int, n_seq: tuple[int, ...], s: Fraction) -> tuple[PLMap, PLMap]:
+    """`appendix_pair` without its self check, built once per argument:
+    `appendix_system` and `level_report` share it, and maps are immutable."""
+    return appendix_pair(k, n_seq, s, _check=False)
+
+
 def appendix_system(n_seq: Sequence[int], s: RatLike) -> DiagonalSystem:
     """The diagonal system with bonding f_i and diagonal g_i from the
     block-assembled pairs; valid to depth len(n_seq)."""
-    pairs = [appendix_pair(k, n_seq, s, _check=False) for k in range(1, len(n_seq) + 1)]
-    return DiagonalSystem(pairs)
+    s, n_seq = as_rat(s), tuple(n_seq)
+    return DiagonalSystem([_pair(k, n_seq, s) for k in range(1, len(n_seq) + 1)])
 
 
 def unit_copy(f: PLMap, block: Interval) -> PLMap:
@@ -91,8 +100,7 @@ def level_report(
     certificate instead, since a strict horseshoe of a single-valued
     N-lap map certifies at best log(N-1) at any finite stage.
     """
-    s = as_rat(s)
-    f_k, g_k = appendix_pair(k, n_seq, s, _check=False)
+    f_k, g_k = _pair(k, tuple(n_seq), as_rat(s))
     n_k = n_seq[k - 1]
     rows = []
     for i in range(1, k + 3):

@@ -18,11 +18,13 @@ from itertools import combinations, product
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .branch import branch_counts
-from .errors import CompositionError, ResourceError
+from .errors import CertificationError, CompositionError, ResourceError
 from .plmap import (
     Interval, _lattice_for, _lattice_sweep, _on_lattice, _scaled, _slopes, as_rat, compose
 )
 from .relation import (
+    DEC,
+    INC,
     VER,
     PLRelation,
     fiber_intervals,
@@ -456,10 +458,53 @@ def _subdivision_patterns(j: Interval, n: int):
                 )
 
 
+def _crossings(rel: PLRelation, pts: list[Fraction]) -> dict[tuple[int, int], int]:
+    """The lap crossings of each base T = [pts[i], pts[j]], i < j, that an
+    arc crosses, keyed (i, j): the largest number of pairwise disjoint
+    preimages arc^-1(T) & T over the inc/dec arcs whose image over T covers
+    T; preimages that only touch count as disjoint, as the laps of a tent
+    do.  Such an arc takes both ends of T at points of T, so only inverses
+    are evaluated: in one sweep per arc over the points in its range, on
+    one lattice that holds every point and breakpoint and on which every
+    inverse slope maps them to integers."""
+    curves = [arc.homeo.breakpoints for arc in rel.arcs if arc.kind in (INC, DEC)]
+    d, (ps, *cs) = _scaled(pts, *([v for bp in bps for v in bp] for bps in curves))
+    inverses = [(c[1::2], c[0::2]) for c in cs]  # (ys, xs) of each arc
+    m = _lattice_for(d, d, (s for ys, xs in inverses for s in _slopes(ys, xs, d, d))) // d
+    ps = [p * m for p in ps]
+    spans: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for ys, xs in inverses:
+        ys, xs = [y * m for y in ys], [x * m for x in xs]
+        if ys[0] > ys[-1]:
+            ys.reverse()
+            xs.reverse()
+        lo, hi = bisect_left(ps, ys[0]), bisect_right(ps, ys[-1])
+        back = _lattice_sweep(ys, xs, ps[lo:hi])
+        for i, a in enumerate(back, lo):
+            if a < ps[i]:
+                continue
+            for j, b in enumerate(back[i - lo + 1 :], i + 1):
+                if a <= ps[j] and ps[i] <= b <= ps[j]:
+                    spans.setdefault((i, j), []).append((max(a, b), min(a, b)))
+    # the most preimages with disjoint interiors, all inside T: greedily by
+    # right end (interval scheduling)
+    counts = {}
+    for (i, j), ivs in spans.items():
+        ivs.sort()
+        count, end = 0, ps[i]
+        for right, left in ivs:
+            if left >= end:
+                count, end = count + 1, right
+        counts[i, j] = count
+    return counts
+
+
 def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
-    """Base intervals for the pattern search, longest first: the hull of the
-    structural points, then every other pair of them (at most 42 points).
-    The pairs are only built if the search gets past the hull."""
+    """Base intervals for the pattern search: the hull of the structural
+    points, then every other pair of them (at most 42 points), those whose
+    strict arcs cross them most often first (`_crossings`), ties longest
+    first.  The pairs and their crossings are only computed if the search
+    gets past the hull."""
     points = set()
     for arc in rel.arcs:
         if arc.kind == VER:
@@ -467,21 +512,26 @@ def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
         else:
             points.update(x for x, _ in arc.homeo.breakpoints)
     pts = sorted(points)
-    hull = Interval(pts[0], pts[-1])
-    yield hull
+    last = len(pts) - 1
+    yield Interval(pts[0], pts[last])
     if len(pts) <= 42:
-        pairs = [Interval(a, b) for a, b in combinations(pts, 2)]
-        pairs.sort(key=lambda iv: -iv.length)
-        yield from (iv for iv in pairs if iv != hull)
+        crossings = _crossings(rel, pts)
+        pairs = sorted(
+            combinations(range(len(pts)), 2),
+            key=lambda ij: (-crossings.get(ij, 0), pts[ij[0]] - pts[ij[1]]),
+        )
+        yield from (Interval(pts[i], pts[j]) for i, j in pairs if (i, j) != (0, last))
 
 
 def find_horseshoe(rel: PLRelation, n: int) -> Optional[HorseshoeCert]:
     """Search for an n-horseshoe of the relation (n >= 2).
 
     Candidate interval patterns are generated inside structurally meaningful
-    base intervals; every candidate is verified exactly, so a returned
-    certificate is always sound.  None means the search failed, not that no
-    horseshoe exists.
+    base intervals (`_base_intervals`): the hull first, then the bases that
+    the relation's laps cross most often.  The order only decides which
+    certificate is found first, never whether one is; every candidate is
+    verified exactly, so a returned certificate is always sound.  None
+    means the search failed, not that no horseshoe exists.
     """
     if n < 2:
         raise ValueError("a horseshoe needs at least 2 intervals")
@@ -511,7 +561,9 @@ def iterate_horseshoe_bound(
     `power(k)` forms the k-th power, for k = 1, 2, ... in turn (e.g.
     parameterized graphs of iterated maps when the pair strongly commutes,
     or `rel_power`).  `candidates` supplies the horseshoe sizes to try at
-    each k, in order; the first one found is kept.
+    each k, in order; the first one found is kept.  The first level where
+    none is found ends the run, before its next power is formed: the
+    bounds returned are those of the levels below it.
     """
     out = []
     for k in range(1, k_max + 1):
@@ -523,6 +575,8 @@ def iterate_horseshoe_bound(
             if cert is not None:
                 out.append(IterateBound(k, n, math.log(n) / k, cert))
                 break
+        else:
+            break
     return out
 
 
@@ -553,7 +607,8 @@ def bracket_theorem_main(
     of the iterated curve; upper bounds from deduplicated branch counts.
     The two must bracket the target with the (log(k+1))/k gap at every k.
     The k-th curve is built from the (k-1)-th iterates, one `compose` per
-    map, each capped at `cap_breakpoints`.
+    map, each capped at `cap_breakpoints`.  The first level without a
+    horseshoe raises CertificationError, before the next curve is built.
     """
     if math.gcd(n, m) != 1:
         raise CompositionError("tent parameters must be coprime")
@@ -576,9 +631,15 @@ def bracket_theorem_main(
             gk = compose(g, gk, cap_breakpoints=cap_breakpoints)
         return param_graph(fk, gk)
 
-    certs = iterate_horseshoe_bound(k_max, power, candidates=lambda k: [(big**k + 1) // 2])
-    if len(certs) != k_max:
-        raise AssertionError("horseshoe certification failed at some level")
+    def size(k: int) -> int:
+        return (big**k + 1) // 2
+
+    certs = iterate_horseshoe_bound(k_max, power, candidates=lambda k: [size(k)])
+    if len(certs) < k_max:
+        k = len(certs) + 1
+        raise CertificationError(
+            f"no {size(k)}-horseshoe found at level k={k}", level=k, n=size(k)
+        )
     rows = branch_counts(f, g, k_max, cap_arcs=cap_arcs)
     lower = tuple((c.k, c.bound) for c in certs)
     upper = tuple((k, h) for k, _cnt, h in rows)

@@ -38,6 +38,19 @@ class LiftingError(RuntimeError):
         self.level = level
 
 
+class CertificationError(RuntimeError):
+    """No certificate was found at a level that needs one.
+
+    Carries ``level``, the first level k without a certificate, and ``n``,
+    the certificate size tried there.
+    """
+
+    def __init__(self, message: str, level: int, n: int):
+        super().__init__(message)
+        self.level = level
+        self.n = n
+
+
 class DepthExhaustedError(RuntimeError):
     """A truncated point of depth 0 cannot move one more level."""
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,18 @@ def test_bracket_subcommand(tmp_path):
     lower = payload["lower"][-1][1]
     upper = payload["upper"][-1][1]
     assert lower <= math.log(3) <= upper
+
+
+def test_bracket_without_a_horseshoe_fails_fast_at_its_level(tmp_path):
+    start = time.perf_counter()
+    assert run(tmp_path, "bracket", "--n", "2", "--m", "3", "--kmax", "4") == 2
+    assert time.perf_counter() - start < 1
+    assert [p.name for p in tmp_path.iterdir()] == ["failure.json"]
+    assert read_json(tmp_path, "failure.json") == {
+        "command": "bracket",
+        "error": "CertificationError",
+        "message": "no 2-horseshoe found at level k=1",
+    }
 
 
 def test_entropy_map_subcommand(tmp_path):

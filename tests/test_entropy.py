@@ -11,9 +11,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plent.errors import ResourceError
+from plent.blocks import level_report, unit_copy
+from plent.errors import CertificationError, ResourceError
 from plent.plmap import Interval, PLMap, compose, iterate, merge_intervals
-from plent.families import plateau_map, tent
+from plent.families import appendix_pair, block_interval, plateau_map, tent
 from plent.relation import (
     MonotoneArc,
     PLRelation,
@@ -481,21 +482,124 @@ def test_lattice_verify_images_meeting_exactly_or_one_step_apart():
         assert verify_horseshoe(rel, pattern) == reference_verify_horseshoe(rel, pattern) == want
 
 
-def test_base_intervals_are_the_hull_then_the_pairs_longest_first():
+def _structural_points(rel):
+    return sorted({v for arc in rel.arcs for v in (arc.dom.lo, arc.dom.hi)}
+                  | {x for arc in rel.arcs if arc.kind != "ver" for x, _ in arc.homeo.breakpoints})
+
+
+def _appendix_block_relation(k, n_seq=(2, 5, 2, 5), s=2):
+    """The relation of the tent block k + 1 that `level_report` searches."""
+    f, g = appendix_pair(k, n_seq, s, _check=False)
+    blk = block_interval(k + 1)
+    return param_graph(unit_copy(f, blk), unit_copy(g, blk))
+
+
+def _reference_crossings(rel):
+    """The lap crossings of a base in Fractions, as a function of the base:
+    the inc/dec arcs whose image over the base covers it, and the longest
+    chain of their preimages of the base, each ending where or before the
+    next begins (dynamic programming over the preimages by left end)."""
+    strict = [(arc, arc.ran, arc.inverse().homeo) for arc in rel.arcs if arc.kind in ("inc", "dec")]
+
+    def crossings(base):
+        spans = sorted(
+            tuple(sorted((inverse(base.lo), inverse(base.hi))))
+            for arc, ran, inverse in strict
+            if ran.contains_interval(base)
+            and (image := arc.image(base)) is not None
+            and image.contains_interval(base)
+        )
+        best = []
+        for a, _ in spans:
+            best.append(1 + max((c for (_, d), c in zip(spans, best) if d <= a), default=0))
+        return max(best, default=0)
+
+    return crossings
+
+
+def _old_base_intervals(rel):
+    """The base order before crossings ranked it: the hull, then the other
+    pairs of structural points (at most 42), longest first."""
+    pts = _structural_points(rel)
+    hull = Interval(pts[0], pts[-1])
+    yield hull
+    if len(pts) <= 42:
+        pairs = sorted((Interval(a, b) for a, b in combinations(pts, 2)), key=lambda iv: -iv.length)
+        yield from (iv for iv in pairs if iv != hull)
+
+
+def test_base_intervals_are_the_hull_then_the_pairs_by_crossings():
     for rel in (
         compose_rel(inverse_rel(graph_of(tent(2))), graph_of(tent(3))),
         param_graph(plateau_map(), tent(3)),
-        param_graph(iterate(tent(2), 4), iterate(tent(3), 4)),  # over 42 points
+        param_graph(iterate(tent(2), 2), iterate(tent(3), 2)),
+        *(_appendix_block_relation(k) for k in (1, 2)),
+        param_graph(iterate(tent(2), 3), iterate(tent(3), 3)),  # 34 arcs
+        param_graph(iterate(tent(2), 5), iterate(tent(3), 5)),  # over 42 points
     ):
-        pts = sorted({v for arc in rel.arcs for v in (arc.dom.lo, arc.dom.hi)}
-                     | {x for arc in rel.arcs if arc.kind != "ver" for x, _ in arc.homeo.breakpoints})
+        pts = _structural_points(rel)
         want = [Interval(pts[0], pts[-1])]
         if len(pts) <= 42:
+            crossings = _reference_crossings(rel)
             want += sorted(
                 (Interval(a, b) for a, b in combinations(pts, 2) if (a, b) != (pts[0], pts[-1])),
-                key=lambda iv: -iv.length,
+                key=lambda iv: (-crossings(iv), -iv.length),
             )
         assert list(_base_intervals(rel)) == want
+    # 42 points, the most whose pairs are all tried: every pair once
+    many = param_graph(iterate(tent(2), 4), iterate(tent(3), 4))
+    assert len(set(_base_intervals(many))) == len(list(_base_intervals(many))) == 42 * 41 // 2
+    # the tent block of appendix level 2 is crossed five times by its laps
+    # on the middle third, more than on any longer pair
+    rel = _appendix_block_relation(2)
+    second = list(_base_intervals(rel))[1]
+    assert second == Interval(F(1, 3), F(2, 3))
+    assert _reference_crossings(rel)(second) == 5
+
+
+def _search_corpus():
+    corpus = [param_graph(iterate(tent(2), k), iterate(tent(3), k)) for k in (1, 2, 3)]
+    corpus += [
+        rel_power(param_graph(tent(2), tent(3)), 2),
+        compose_rel(inverse_rel(graph_of(tent(2))), graph_of(tent(2))),
+        param_graph(plateau_map(), tent(3)),
+        param_graph(tent(3), plateau_map()),
+    ]
+    return corpus + [_appendix_block_relation(k) for k in (1, 2, 3)]
+
+
+def test_ranked_search_finds_a_horseshoe_exactly_when_the_old_order_does():
+    outcomes = set()
+    for rel in _search_corpus():
+        for n in range(2, 6):
+            old = any(
+                verify_horseshoe(rel, pattern)
+                for base in _old_base_intervals(rel)
+                for pattern in _subdivision_patterns(base, n)
+            )
+            cert = find_horseshoe(rel, n)
+            assert (cert is not None) == old, (rel.arcs, n)
+            if cert is not None:
+                assert cert.n == n and verify_horseshoe(rel, cert.intervals)
+            outcomes.add(old)
+    assert outcomes == {True, False}
+
+
+def test_appendix_block_searches_stay_within_the_call_budget(monkeypatch):
+    import plent.entropy
+
+    calls = []
+
+    def counting_verify(rel, intervals):
+        calls.append(len(intervals))
+        return verify_horseshoe(rel, intervals)
+
+    monkeypatch.setattr(plent.entropy, "verify_horseshoe", counting_verify)
+    for k in (1, 2, 3):
+        rows = level_report((2, 5, 2, 5), 2, k).rows
+        assert rows[k].lower_kind == "horseshoe"
+    # 466 in the old longest-first order: 118 + 230 + 118
+    assert 0 < len(calls) <= 80
 
 
 # -- bracketing -------------------------------------------------------------------
@@ -513,6 +617,23 @@ def test_bracket_contains_target_at_every_level():
     ups = [upper[k] for k in range(1, 5)]
     assert lows == sorted(lows)
     assert ups == sorted(ups, reverse=True)
+
+
+def test_bracket_stops_at_the_first_level_without_a_horseshoe(monkeypatch):
+    import plent.entropy
+
+    powers = []
+
+    def counting_param_graph(f, g):
+        powers.append((f, g))
+        return param_graph(f, g)
+
+    monkeypatch.setattr(plent.entropy, "param_graph", counting_param_graph)
+    # the curve of (tent:3, tent:2) contracts: it has no 2-horseshoe at k=1
+    with pytest.raises(CertificationError, match="no 2-horseshoe found at level k=1") as err:
+        bracket_theorem_main(2, 3, 4)
+    assert (err.value.level, err.value.n) == (1, 2)
+    assert powers == [(tent(3), tent(2))]  # the curve of level 1 only
 
 
 def test_bracket_rejects_non_coprime_pairs():
