@@ -67,12 +67,22 @@ def _horseshoe_size(text: str) -> int:
     return value
 
 
+def _slope(text: str) -> Fraction:
+    value = _positive_rat(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--s must be at least 1, got {text!r}")
+    return value
+
+
 def _positive_rat_list(text: str) -> list[Fraction]:
     return [_positive_rat(t) for t in text.split(",")]
 
 
-def _positive_int_list(text: str) -> list[int]:
-    return [_positive_int(t) for t in text.split(",")]
+def _tent_params(text: str) -> list[int]:
+    values = [_positive_int(t) for t in text.split(",")]
+    if min(values) < 2:
+        raise argparse.ArgumentTypeError(f"each entry of --nseq must be at least 2, got {text!r}")
+    return values
 
 
 def _build_relation(args) -> PLRelation:
@@ -323,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invlim)
 
     p = sub.add_parser("appendix", help="blockwise bounds for the dyadic-block system")
-    p.add_argument("--s", type=_positive_rat, default="2")
-    p.add_argument("--nseq", type=_positive_int_list, required=True)
+    p.add_argument("--s", type=_slope, default="2")
+    p.add_argument("--nseq", type=_tent_params, required=True)
     p.add_argument("--kmax", type=_positive_int, default=3)
     p.add_argument("--kbranch", type=_positive_int, default=5)
     _add_common(p)
@@ -357,11 +367,18 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
     return ap.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
-def _require_maps(args: argparse.Namespace) -> None:
-    """A map is a usage error to leave out where it is used: each map of
-    `branches` needs its spec or its tent parameter, and --g is needed
-    wherever the second map is used.  The error shows the subcommand's
-    usage."""
+def _check_usage(args: argparse.Namespace) -> None:
+    """The usage errors that involve more than one flag; each shows the
+    subcommand's usage.  A map is a usage error to leave out where it is
+    used: each map of `branches` needs its spec or its tent parameter, and
+    --g is needed wherever the second map is used.  `bracket` needs
+    max(--n, --m) >= 3, or its level-1 horseshoe would have fewer than 2
+    intervals, and `appendix --kmax` can reach only the levels that
+    --nseq defines."""
+    if args.command == "bracket" and max(args.n, args.m) < 3:
+        args.parser.error(f"max(--n, --m) must be at least 3, got --n {args.n} --m {args.m}")
+    if args.command == "appendix" and args.kmax > len(args.nseq):
+        args.parser.error(f"--kmax {args.kmax} exceeds the {len(args.nseq)} entries of --nseq")
     if args.command == "branches":
         missing = [
             f"--{spec} or --{param}"
@@ -380,7 +397,7 @@ def _require_maps(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = _apply_config(ap, list(sys.argv[1:] if argv is None else argv))
-    _require_maps(args)
+    _check_usage(args)
     try:
         return args.fn(args)
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises

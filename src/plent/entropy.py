@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from .branch import branch_counts
 from .errors import CertificationError, CompositionError, ResourceError
 from .plmap import (
-    Interval, _lattice_for, _lattice_sweep, _on_lattice, _scaled, _slopes, as_rat, compose
+    Interval, _exact, _lattice_for, _lattice_sweep, _on_lattice, _scaled, _slopes, as_rat, compose
 )
 from .relation import (
     DEC,
@@ -348,12 +348,13 @@ class HorseshoeCert(NamedTuple):
         return math.log(self.n)
 
 
-def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> int:
-    """One denominator D for the whole check: a multiple of every interval
-    endpoint's and breakpoint's denominator on which every arc segment's
-    slope maps the x-lattice 1/Dx, Dx the lcm of the x-denominators, to
-    integers.  So the value of a segment at any x-lattice point,
-    y0 + slope * (a - x0), is on 1/D."""
+def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> tuple[int, int]:
+    """The two lattices of the check, (D, Dx).  Dx is the lcm of the
+    x-denominators: interval endpoints, breakpoints and vertical arcs.  D is
+    a multiple of Dx and of every y-denominator on which every arc
+    segment's slope maps the x-lattice 1/Dx to integers.  So a segment's
+    rise per 1/Dx step is an integer on 1/D, and so is its value at any
+    x-lattice point."""
     vers = [arc for arc in rel.arcs if arc.kind == VER]
     curves = [arc.homeo.breakpoints for arc in rel.arcs if arc.kind != VER]
     lone_xs = [v for iv in ivs for v in (iv.lo, iv.hi)] + [arc.x for arc in vers]
@@ -361,15 +362,20 @@ def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> int:
     dx, (_, *xs) = _scaled(lone_xs, *([x for x, _ in bps] for bps in curves))
     dy, (_, *ys) = _scaled(lone_ys, *([y for _, y in bps] for bps in curves))
     slopes = (s for cx, cy in zip(xs, ys) for s in _slopes(cx, cy, dx, dy))
-    return _lattice_for(math.lcm(dx, dy), dx, slopes)
+    return _lattice_for(math.lcm(dx, dy), dx, slopes), dx
 
 
 def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     """Exact check: intervals pairwise disjoint and nondegenerate, and every
     interval's image under the relation covers their union.
 
-    The check runs in integer arithmetic on one lattice 1/D (see
-    `_lattice`) on which every endpoint involved lies exactly.
+    The check runs in integer arithmetic on two lattices (see `_lattice`):
+    x-coordinates on 1/Dx, y-coordinates and targets on 1/D.  Each segment
+    of an arc that meets a source is checked once to rise by an integer c
+    per 1/Dx step; a remainder raises ArithmeticError, nothing is rounded.
+    The arc's value at each source endpoint x, clipped to its domain, is
+    then y0 + (x - x0) * c on the segment from (x0, y0) that holds x, one
+    multiply-add, with a cursor that only moves right along the arc.
     """
     ivs = sorted(intervals, key=lambda iv: iv.lo)
     if len(ivs) < 2 or any(iv.is_point() for iv in ivs):
@@ -377,36 +383,47 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     for a, b in zip(ivs, ivs[1:]):
         if a.hi >= b.lo:
             return False
-    d = _lattice(rel, ivs)
-    los = [_on_lattice(iv.lo, d) for iv in ivs]
-    his = [_on_lattice(iv.hi, d) for iv in ivs]
+    d, dx = _lattice(rel, ivs)
+    # the source endpoints on 1/dx, lo and hi interleaved; as targets on 1/d
+    ends = [_on_lattice(v, dx) for iv in ivs for v in iv]
+    xlos, xhis = ends[::2], ends[1::2]
+    up = d // dx
+    los, his = [v * up for v in xlos], [v * up for v in xhis]
     n = len(ivs)
     # bucket each arc's image by the source intervals its domain meets;
     # one pass over the arcs instead of one per source interval
     images: list[list[tuple[int, int]]] = [[] for _ in ivs]
     for arc in rel.arcs:
         if arc.kind == VER:
-            x = _on_lattice(arc.x, d)
-            i = bisect_right(los, x) - 1
-            if i >= 0 and x <= his[i]:
+            x = _on_lattice(arc.x, dx)
+            i = bisect_right(xlos, x) - 1
+            if i >= 0 and x <= xhis[i]:
                 images[i].append((_on_lattice(arc.ys.lo, d), _on_lattice(arc.ys.hi, d)))
             continue
         bps = arc.homeo.breakpoints
-        xs = [_on_lattice(x, d) for x, _ in bps]
+        xs = [_on_lattice(x, dx) for x, _ in bps]
         ys = [_on_lattice(y, d) for _, y in bps]
-        a, b = xs[0], xs[-1]
-        # the sources meeting [a, b] are i..j-1; sweep the arc once over
-        # their endpoints, clipped to [a, b]
-        i = bisect_left(his, a)
-        j = bisect_right(los, b)
+        # the sources meeting [xs[0], xs[-1]] are i..j-1; their endpoints,
+        # clipped to it, in increasing order
+        i = bisect_left(xhis, xs[0])
+        j = bisect_right(xlos, xs[-1])
         if i == j:
             continue
-        ends = [v for k in range(i, j) for v in (los[k], his[k])]
-        ends[0] = max(ends[0], a)
-        ends[-1] = min(ends[-1], b)
-        vals = _lattice_sweep(xs, ys, ends)
-        for k, ya, yb in zip(range(i, j), vals[::2], vals[1::2]):
-            images[k].append((ya, yb) if ya <= yb else (yb, ya))
+        pts = ends[2 * i : 2 * j]
+        pts[0] = max(pts[0], xs[0])
+        pts[-1] = min(pts[-1], xs[-1])
+        vals: list[int] = []
+        at = 0
+        for k in range(len(xs) - 1):
+            c = _exact(ys[k + 1] - ys[k], xs[k + 1] - xs[k])
+            w = ys[k] - xs[k] * c
+            top = bisect_right(pts, xs[k + 1], at)
+            vals += [w + x * c for x in pts[at:top]]
+            at = top
+        # a monotone arc maps each source's (lo, hi) in order or reversed
+        pairs = zip(vals[1::2], vals[::2]) if arc.kind == DEC else zip(vals[::2], vals[1::2])
+        for img, pair in zip(images[i:j], pairs):
+            img.append(pair)
     # every target lies in at most one merged component, so the targets
     # are covered iff the per-component counts of targets inside sum to n
     for imgs in images:
@@ -503,8 +520,12 @@ def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
     """Base intervals for the pattern search: the hull of the structural
     points, then every other pair of them (at most 42 points), those whose
     strict arcs cross them most often first (`_crossings`), ties longest
-    first.  The pairs and their crossings are only computed if the search
+    first.  The hull comes from each arc's first and last x; the sorted
+    points, the pairs and their crossings are only computed if the search
     gets past the hull."""
+    firsts = [arc.x if arc.kind == VER else arc.homeo.breakpoints[0][0] for arc in rel.arcs]
+    lasts = [arc.x if arc.kind == VER else arc.homeo.breakpoints[-1][0] for arc in rel.arcs]
+    yield Interval(min(firsts), max(lasts))
     points = set()
     for arc in rel.arcs:
         if arc.kind == VER:
@@ -513,7 +534,6 @@ def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
             points.update(x for x, _ in arc.homeo.breakpoints)
     pts = sorted(points)
     last = len(pts) - 1
-    yield Interval(pts[0], pts[last])
     if len(pts) <= 42:
         crossings = _crossings(rel, pts)
         pairs = sorted(
@@ -561,16 +581,18 @@ def iterate_horseshoe_bound(
     `power(k)` forms the k-th power, for k = 1, 2, ... in turn (e.g.
     parameterized graphs of iterated maps when the pair strongly commutes,
     or `rel_power`).  `candidates` supplies the horseshoe sizes to try at
-    each k, in order; the first one found is kept.  The first level where
+    each k, in order; the first one found is kept.  A size below 2 raises
+    ValueError, before its level's power is formed.  The first level where
     none is found ends the run, before its next power is formed: the
     bounds returned are those of the levels below it.
     """
     out = []
     for k in range(1, k_max + 1):
+        sizes = candidates(k)
+        if any(n < 2 for n in sizes):
+            raise ValueError(f"a horseshoe needs at least 2 intervals, got {min(sizes)} at k={k}")
         rk = power(k)
-        for n in candidates(k):
-            if n < 2:
-                continue
+        for n in sizes:
             cert = find_horseshoe(rk, n)
             if cert is not None:
                 out.append(IterateBound(k, n, math.log(n) / k, cert))

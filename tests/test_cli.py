@@ -252,6 +252,44 @@ def test_horseshoe_needs_at_least_two_intervals(tmp_path, capsys):
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n, m", [("2", "1"), ("1", "1"), ("1", "2")])
+def test_bracket_needs_a_tent_parameter_of_at_least_three(tmp_path, n, m, capsys):
+    # else the level-1 horseshoe size (max(n, m) + 1) // 2 is below 2
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "bracket", "--n", n, "--m", m)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plent bracket ")
+    assert "max(--n, --m) must be at least 3" in err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--nseq", "1,5"], {}, "each entry of --nseq must be at least 2"),
+        (["--nseq", "2,5"], {"nseq": [2, 1]}, "each entry of --nseq must be at least 2"),
+        (["--nseq", "2,5", "--s", "1/2"], {}, "--s must be at least 1"),
+        (["--nseq", "2,5"], {"s": "2/3"}, "--s must be at least 1"),
+        (["--kmax", "3", "--nseq", "2"], {}, "--kmax 3 exceeds the 1 entries of --nseq"),
+        (["--nseq", "2"], {"kmax": 2}, "--kmax 2 exceeds the 1 entries of --nseq"),
+    ],
+)
+def test_appendix_inputs_the_system_cannot_take_are_usage_errors(
+    tmp_path, argv, config, message, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["appendix", *argv, "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plent appendix ")
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [{"nmax": 0}, {"depth": -2}, {"cap_orbits": "1/2"}])
 def test_config_counts_must_be_positive_integers(tmp_path, config, capsys):
     cfg = tmp_path / "cfg.json"

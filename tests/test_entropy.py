@@ -6,7 +6,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from plent.blocks import level_report, unit_copy
 from plent.errors import CertificationError, ResourceError
 from plent.plmap import Interval, PLMap, compose, iterate, merge_intervals
-from plent.families import appendix_pair, block_interval, plateau_map, tent
+from plent.families import appendix_pair, block_interval, plateau_map, slope_map, tent
 from plent.relation import (
     MonotoneArc,
     PLRelation,
@@ -27,6 +27,7 @@ from plent.relation import (
 )
 from plent.entropy import (
     _base_intervals,
+    _crossings,
     _lattice,
     _max_independent,
     _subdivision_patterns,
@@ -305,6 +306,25 @@ def test_iterate_horseshoe_bounds_grow():
     assert bounds[0] == pytest.approx(math.log(2))
 
 
+@pytest.mark.parametrize("sizes", [[1], [0], [1, 2]])
+def test_iterate_horseshoe_bound_rejects_sizes_below_two(sizes):
+    powers = []
+
+    def power(k):
+        powers.append(k)
+        return param_graph(tent(2), tent(3))
+
+    with pytest.raises(ValueError, match="at least 2 intervals"):
+        iterate_horseshoe_bound(2, power, candidates=lambda k: sizes)
+    assert powers == []  # rejected before its power is formed
+
+
+def test_bracket_of_tent_parameters_below_three_is_a_value_error():
+    # the level-1 size (max(n, m) + 1) // 2 is 1: no horseshoe to search
+    with pytest.raises(ValueError, match="at least 2 intervals"):
+        bracket_theorem_main(2, 1, 2)
+
+
 # -- the integer-lattice verifier against its Fraction reference ---------------------
 
 
@@ -432,27 +452,43 @@ def test_lattice_verify_matches_the_reference_on_random_relations():
 
 
 def test_lattice_verify_matches_the_reference_on_tent_patterns():
+    # (group, relation, bases, sizes, most patterns per base and size)
     cases = []
     for k in range(1, 5):
         rel = param_graph(iterate(tent(2), k), iterate(tent(3), k))
         n = (3**k + 1) // 2
-        cases.append((rel, list(_base_intervals(rel))[:1], range(max(2, n - 1), n + 2)))
+        sizes = range(max(2, n - 1), n + 2)
+        cases.append(("tent", rel, list(_base_intervals(rel))[:1], sizes, None))
+    # level 5 (274 arcs, 122 intervals): the Fraction reference takes about
+    # a quarter second a pattern, so only the hull's first four
+    rel = param_graph(iterate(tent(2), 5), iterate(tent(3), 5))
+    cases.append(("tent k=5", rel, list(_base_intervals(rel))[:1], [122], 4))
+    # an x-map with more laps than the y-map, and one of constant slope
+    for group, f, g, laps, levels in (
+        ("tent:5, tent:3", tent(5), tent(3), 5, (1, 2)),
+        ("slope:3, tent:2", slope_map(3), tent(2), 3, (1, 2, 3)),
+    ):
+        for k in levels:
+            rel = param_graph(iterate(f, k), iterate(g, k))
+            sizes = sorted({2, 3, (laps**k + 1) // 2})
+            cases.append((group, rel, list(_base_intervals(rel))[:1], sizes, None))
     for rel in (
         rel_power(param_graph(tent(2), tent(3)), 2),
         compose_rel(inverse_rel(graph_of(tent(2))), graph_of(tent(3))),
         param_graph(plateau_map(), tent(3)),  # vertical arcs
         param_graph(tent(3), plateau_map()),  # horizontal arcs
     ):
-        cases.append((rel, list(_base_intervals(rel))[:3], range(2, 5)))
-    outcomes = set()
-    for rel, bases, sizes in cases:
+        cases.append(("other", rel, list(_base_intervals(rel))[:3], range(2, 5), None))
+    outcomes = {}
+    for group, rel, bases, sizes, most in cases:
         for base in bases:
             for n in sizes:
-                for pattern in _subdivision_patterns(base, n):
+                for pattern in islice(_subdivision_patterns(base, n), most):
                     got = verify_horseshoe(rel, pattern)
                     assert got == reference_verify_horseshoe(rel, pattern)
-                    outcomes.add(got)
-    assert outcomes == {True, False}
+                    outcomes.setdefault(group, set()).add(got)
+    # the cases must exercise both answers to mean anything
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def _meeting_relation(shortfall=F(0), above=F(0)):
@@ -469,7 +505,7 @@ def _meeting_relation(shortfall=F(0), above=F(0)):
 
 def test_lattice_verify_images_meeting_exactly_or_one_step_apart():
     pattern = [Interval(F(0), F(1, 3)), Interval(F(2, 5), F(1))]
-    step = F(1, _lattice(_meeting_relation(), pattern))
+    step = F(1, _lattice(_meeting_relation(), pattern)[0])
     cases = [
         (F(0), F(0), True),  # the images meet exactly at 1/2, inside [2/5, 1]
         # a gap of 1/1350 below 1/2: rounding the value at 1/3 to the
@@ -480,6 +516,82 @@ def test_lattice_verify_images_meeting_exactly_or_one_step_apart():
     for shortfall, above, want in cases:
         rel = _meeting_relation(shortfall, above)
         assert verify_horseshoe(rel, pattern) == reference_verify_horseshoe(rel, pattern) == want
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (F(3, 4), F(1, 2))],  # one segment, slope 2/3
+        [(0, 0), (F(3, 8), F(1, 8)), (F(3, 4), F(1, 2))],  # bent: slopes 1/3, 1
+    ],
+    ids=["one-segment", "bent"],
+)
+def test_lattice_verify_raises_on_a_lattice_one_factor_too_coarse(monkeypatch, points):
+    import plent.entropy
+
+    rel = PLRelation([MonotoneArc.from_map(PLMap(points))])
+    pattern = [Interval(F(0), F(1, 4)), Interval(F(1, 2), F(3, 4))]
+    d, dx = _lattice(rel, pattern)
+    # D holds the factor 3 only for the rise of a slope-p/3 segment per
+    # 1/Dx step; without it every breakpoint and endpoint is still on the
+    # lattice, so only the per-segment check can notice
+    assert d % 3 == 0 and dx % 3 and d // 3 % dx == 0
+    assert verify_horseshoe(rel, pattern) == reference_verify_horseshoe(rel, pattern)
+    monkeypatch.setattr(plent.entropy, "_lattice", lambda rel, ivs: (d // 3, dx))
+    with pytest.raises(ArithmeticError, match="^value is off the integer lattice$"):
+        verify_horseshoe(rel, pattern)
+
+
+def _cursor_case(rng):
+    """(relation, patterns, straight arc, bent arc).  The arcs sweep many
+    sources each: one long straight arc over all n sources, so all 2n
+    endpoints fall inside one segment; one long bent arc with a breakpoint
+    strictly inside each source and one at each source's right end; and,
+    over each source, an arc onto the sources' hull (or just short of it)
+    bent strictly inside the source.  Patterns: the sources as they are,
+    one of them nudged by a tiny step at either end, or a subset."""
+    n = rng.randint(3, 12)
+    step = F(1, rng.choice((10**6, 3**13)))
+    ends = sorted(rng.sample(range(1, 6 * n), 2 * n))
+    q = 6 * n
+    sources = [Interval(F(ends[2 * i], q), F(ends[2 * i + 1], q)) for i in range(n)]
+    lo, hi = sources[0].lo / 2, (1 + sources[-1].hi) / 2
+    arcs = [MonotoneArc.from_map(PLMap([(lo, _inside(rng, F(0), F(1, 2))), (hi, F(1, 2))]))]
+    knees = [lo, *(v for src in sources for v in (_inside(rng, src.lo, src.hi), src.hi)), hi]
+    knees = sorted(set(knees))
+    ys = sorted(rng.sample(range(len(knees) * 4), len(knees)))
+    ys = [F(y, len(knees) * 4) for y in ys]
+    arcs.append(MonotoneArc.from_map(PLMap(zip(knees, ys if rng.random() < 0.5 else ys[::-1]))))
+    for src in sources:
+        y0 = sources[0].lo + (step if rng.random() < 0.05 else 0)
+        y1 = sources[-1].hi - (step if rng.random() < 0.05 else 0)
+        xs = [src.lo, _inside(rng, src.lo, src.hi), src.hi]
+        ys = [y0, _inside(rng, y0, y1), y1]
+        if rng.random() < 0.5:
+            ys.reverse()
+        arcs.append(MonotoneArc.from_map(PLMap(zip(xs, ys))))
+    i = rng.randrange(n)
+    src = sources[i]
+    patterns = [sources, rng.sample(sources, rng.randint(2, n))]
+    for nudged in (Interval(src.lo + step, src.hi), Interval(src.lo, src.hi - step)):
+        patterns.append(sources[:i] + [nudged] + sources[i + 1 :])
+    return PLRelation(arcs), patterns, arcs[0], arcs[1]
+
+
+def test_lattice_verify_matches_the_reference_along_segments_and_across_breakpoints():
+    rng = random.Random(16)
+    outcomes = []
+    for _ in range(100):
+        rel, patterns, straight, bent = _cursor_case(rng)
+        assert len(straight.homeo.breakpoints) == 2
+        for pattern in patterns:
+            assert all(straight.dom.contains_interval(iv) for iv in pattern)
+            got = verify_horseshoe(rel, pattern)
+            assert got == reference_verify_horseshoe(rel, pattern), pattern
+            outcomes.append(got)
+        # a breakpoint of the bent arc lies strictly inside a source
+        assert any(iv.lo < x < iv.hi for x, _ in bent.homeo.breakpoints for iv in patterns[0])
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
 
 def _structural_points(rel):
@@ -555,6 +667,36 @@ def test_base_intervals_are_the_hull_then_the_pairs_by_crossings():
     second = list(_base_intervals(rel))[1]
     assert second == Interval(F(1, 3), F(2, 3))
     assert _reference_crossings(rel)(second) == 5
+
+
+def _point_set_base_intervals(rel):
+    """The base order built from the sorted set of structural points: its
+    hull, then the other pairs ranked by `_crossings`, ties longest first."""
+    points = set()
+    for arc in rel.arcs:
+        if arc.kind == "ver":
+            points.add(arc.x)
+        else:
+            points.update(x for x, _ in arc.homeo.breakpoints)
+    pts = sorted(points)
+    yield Interval(pts[0], pts[-1])
+    if len(pts) <= 42:
+        crossings = _crossings(rel, pts)
+        pairs = sorted(
+            (ij for ij in combinations(range(len(pts)), 2) if ij != (0, len(pts) - 1)),
+            key=lambda ij: (-crossings.get(ij, 0), pts[ij[0]] - pts[ij[1]]),
+        )
+        yield from (Interval(pts[i], pts[j]) for i, j in pairs)
+
+
+def test_base_intervals_keep_the_order_of_the_sorted_point_set():
+    # the first certificate found, and so every artifact digest, depends
+    # on this order
+    rels = [param_graph(iterate(tent(2), k), iterate(tent(3), k)) for k in range(1, 5)]
+    rels += [_appendix_block_relation(k) for k in (1, 2, 3)]
+    rels.append(param_graph(plateau_map(), tent(3)))  # vertical arcs
+    for rel in rels:
+        assert list(_base_intervals(rel)) == list(_point_set_base_intervals(rel))
 
 
 def _search_corpus():
