@@ -31,7 +31,6 @@ from .relation import (
 from .branch import (
     BranchFamily,
     branch_counts,
-    branch_families,
     initial_branches,
     next_family,
 )

@@ -8,20 +8,20 @@ sets) before counting, so the family size is a geometric invariant.
 
 Every family is held as integer breakpoints over one least common
 denominator per axis and chained in integer arithmetic, whatever the
-number of breakpoints of its arcs; its `Branch` objects are built only
-when asked for.
+number of breakpoints of its arcs.  Families are counts-only: a family
+keeps its arc keys and nothing else, and `branch_counts` holds two levels
+at a time.  `chain` composes two arcs in `Fraction`s, independently of
+the kernel, as its test reference.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import InvalidFamilyError, ResourceError
 from .plmap import (
-    Interval,
     PLMap,
     UNIT,
     _exact,
@@ -32,26 +32,7 @@ from .plmap import (
     _slopes,
     _value,
 )
-from .relation import INC, DEC, MonotoneArc, PLRelation, _compose_strict, param_graph
-
-
-class Branch(NamedTuple):
-    """A strictly monotone arc together with how it was produced.
-
-    ``provenance`` is None at level 1, else the pair (i, j): this branch is
-    the chain of level-1 branch i through level-k branch j.
-    """
-
-    arc: MonotoneArc
-    provenance: Optional[tuple[int, int]] = None
-
-    @property
-    def dom(self) -> Interval:
-        return self.arc.dom
-
-    @property
-    def ran(self) -> Interval:
-        return self.arc.ran
+from .relation import INC, DEC, MonotoneArc, _compose_strict, param_graph
 
 
 class _Lattice(NamedTuple):
@@ -67,42 +48,18 @@ class _Lattice(NamedTuple):
     dx: int
     dy: int
     keys: list[tuple[int, ...]]
-    provenance: list[Optional[tuple[int, int]]]
-
-    def branches(self) -> tuple[Branch, ...]:
-        dx, dy = self.dx, self.dy
-        out = []
-        for key, prov in zip(self.keys, self.provenance):
-            m = len(key) // 2
-            homeo = PLMap._from_canonical(
-                tuple((Fraction(x, dx), Fraction(y, dy)) for x, y in zip(key[:m], key[m:]))
-            )
-            arc = MonotoneArc._trusted(INC if key[-1] > key[m] else DEC, homeo)
-            out.append(Branch(arc, prov))
-        return tuple(out)
 
 
 class BranchFamily:
-    """The level-k branches, deduplicated as point sets and held on their
-    `_Lattice`.  `branches` are built on first access; the length never
-    builds them."""
+    """The level-k arcs, deduplicated as point sets and held only as the
+    keys of their `_Lattice`; the length is the family's count."""
 
     def __init__(self, level: int, lattice: _Lattice):
         self.level = level
         self._lattice = lattice
-        self._branches: Optional[tuple[Branch, ...]] = None
 
     def __len__(self) -> int:
         return len(self._lattice.keys)
-
-    @property
-    def branches(self) -> tuple[Branch, ...]:
-        if self._branches is None:
-            self._branches = self._lattice.branches()
-        return self._branches
-
-    def relation(self) -> PLRelation:
-        return PLRelation([b.arc for b in self.branches])
 
 
 def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
@@ -129,17 +86,17 @@ def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
         pts.append(arc.homeo.breakpoints)
     dx, xs = _scaled(*([x for x, _ in p] for p in pts))
     dy, ys = _scaled(*([y for _, y in p] for p in pts))
-    keys = [tuple(kx + ky) for kx, ky in zip(xs, ys)]
-    return BranchFamily(1, _Lattice(dx, dy, keys, [None] * len(keys)))
+    return BranchFamily(1, _Lattice(dx, dy, [tuple(kx + ky) for kx, ky in zip(xs, ys)]))
 
 
-def chain(a: Branch, b: Branch, provenance=None) -> Optional[Branch]:
-    """Chain branch a through branch b where ran(a) meets dom(b) with
-    nonempty interior; None when the overlap is empty or a point."""
+def chain(a: MonotoneArc, b: MonotoneArc) -> Optional[MonotoneArc]:
+    """The strict arc b o a where ran(a) meets dom(b) with nonempty
+    interior; None when the overlap is empty or a point.  Composed in
+    `Fraction`s, independently of the lattice kernel, as its reference."""
     z = a.ran.intersect(b.dom)
     if z is None or z.is_point():
         return None
-    return Branch(_compose_strict(a.arc.homeo, b.arc.homeo, z), provenance)
+    return _compose_strict(a.homeo, b.homeo, z)
 
 
 def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
@@ -154,7 +111,7 @@ def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
     return tuple(x for x, _ in pts) + tuple(y for _, y in pts)
 
 
-def _reduced(out: dict, nx: int, ny: int, level: int) -> BranchFamily:
+def _reduced(out: list, nx: int, ny: int, level: int) -> BranchFamily:
     """The family of the keys in `out` over nx, ny, divided down to the
     least common denominators."""
     gx, gy = nx, ny
@@ -163,16 +120,15 @@ def _reduced(out: dict, nx: int, ny: int, level: int) -> BranchFamily:
             break
         m = len(key) // 2
         gx, gy = math.gcd(gx, *key[:m]), math.gcd(gy, *key[m:])
-    keys = list(out)
     if gx != 1 or gy != 1:
-        keys = [
+        out = [
             tuple(v // gx for v in key[: len(key) // 2]) + tuple(v // gy for v in key[len(key) // 2 :])
-            for key in keys
+            for key in out
         ]
-    return BranchFamily(level, _Lattice(nx // gx, ny // gy, keys, list(out.values())))
+    return BranchFamily(level, _Lattice(nx // gx, ny // gy, out))
 
 
-def _over_cap(out: dict, nx: int, ny: int, level: int, cap_arcs: int) -> ResourceError:
+def _over_cap(out: list, nx: int, ny: int, level: int, cap_arcs: int) -> ResourceError:
     return ResourceError(
         f"branch family exceeds cap of {cap_arcs} arcs", partial=_reduced(out, nx, ny, level)
     )
@@ -193,7 +149,9 @@ def next_family(
     two-point arcs is chained in closed form, any other pair by
     `_chained_key`.  Keys are deduplicated over (nx, ny), then divided down
     to the level's least common denominators, which keeps them canonical:
-    int dedup is exactly point-set dedup.
+    int dedup is exactly point-set dedup.  Only the keys are kept, in the
+    order first met (a `set` alone would hand the next level its keys in
+    hash order, scattered in memory), and not the pair that produced them.
     """
     if base.level != 1:
         raise InvalidFamilyError("first argument must be the level-1 family")
@@ -210,28 +168,28 @@ def next_family(
     ny = _lattice_for(lat_b.dy, shared, b_slopes)
     mx, my = nx // lat_a.dx, ny // lat_b.dy
     rows = [
-        (i, *_on_shared_axis(ys, xs, sl, sa, mx, shared, nx))
-        for i, ((xs, ys), sl) in enumerate(zip(halves_a, inv_slopes))
+        _on_shared_axis(ys, xs, sl, sa, mx, shared, nx) for (xs, ys), sl in zip(halves_a, inv_slopes)
     ]
-    # two-point level-1 arc i maps Z on its range to x = u0 + Z*ca over nx
+    # a two-point level-1 arc maps Z on its range to x = u0 + Z*ca over nx
     lefts = []
-    for i, (rlo, rhi), ((u0, ca),) in (r for r in rows if len(r[1]) == 2):
+    for (rlo, rhi), ((u0, ca),) in (r for r in rows if len(r[0]) == 2):
         full = rlo <= 0 and rhi >= shared  # covers every possible domain
-        lefts.append((i, u0, ca, rlo, rhi, full))
-    bends = [r for r in rows if len(r[1]) > 2]
+        lefts.append((u0, ca, rlo, rhi, full))
+    bends = [r for r in rows if len(r[0]) > 2]
     limit = math.inf if cap_arcs is None else cap_arcs
-    out: dict = {}
+    seen: set = set()
+    out: list = []
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        for j, arc in enumerate(lat_b.keys):
+        for arc in lat_b.keys:
             if len(arc) == 4:
-                # two-point level-k arc j maps Z on its domain to y = w0 + Z*cb over ny
+                # a two-point level-k arc maps Z on its domain to y = w0 + Z*cb over ny
                 x0, x1, y0, y1 = arc
                 cb = _exact(ny * (y1 - y0) * lat_b.dx, shared * (x1 - x0) * lat_b.dy)
                 blo, bhi = x0 * sb, x1 * sb
                 w0, yb0, yb1 = y0 * my - blo * cb, y0 * my, y1 * my
-                for i, u0, ca, rlo, rhi, full in lefts:
+                for u0, ca, rlo, rhi, full in lefts:
                     if full:
                         zlo, zhi, w_lo, w_hi = blo, bhi, yb0, yb1
                     else:
@@ -242,8 +200,9 @@ def next_family(
                         w_lo, w_hi = w0 + zlo * cb, w0 + zhi * cb
                     u, v = u0 + zlo * ca, u0 + zhi * ca
                     key = (u, v, w_lo, w_hi) if ca > 0 else (v, u, w_hi, w_lo)
-                    if key not in out:
-                        out[key] = (i, j)
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(key)
                         if len(out) > limit:
                             raise _over_cap(out, nx, ny, level, cap_arcs)
                 general, zb, fb = bends, (blo, bhi), ((w0, cb),)
@@ -252,13 +211,14 @@ def next_family(
                 sl = _slopes(arc[:m], arc[m:], lat_b.dx, lat_b.dy)
                 zb, fb = _on_shared_axis(arc[:m], arc[m:], sl, sb, my, shared, ny)
                 general = rows
-            for i, za, fa in general:
+            for za, fa in general:
                 zlo, zhi = max(za[0], zb[0]), min(za[-1], zb[-1])
                 if zlo >= zhi:
                     continue
                 key = _chained_key(za, fa, zb, fb, zlo, zhi)
-                if key not in out:
-                    out[key] = (i, j)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
                     if len(out) > limit:
                         raise _over_cap(out, nx, ny, level, cap_arcs)
         return _reduced(out, nx, ny, level)
@@ -267,32 +227,24 @@ def next_family(
             gc.enable()
 
 
-def branch_families(
-    f: PLMap, g: PLMap, k_max: int, cap_arcs: int | None = None
-) -> list[BranchFamily]:
-    fams = [initial_branches(f, g)]
-    for _ in range(k_max - 1):
-        fams.append(next_family(fams[0], fams[-1], cap_arcs=cap_arcs))
-    return fams
-
-
 def branch_counts(
     f: PLMap, g: PLMap, k_max: int, cap_arcs: int | None = None
 ) -> list[tuple[int, int, float]]:
     """Rows (k, |family_k|, log|family_k| / k) for k = 1..k_max.
 
-    Checks the combinatorial ceiling |family_k| <= (k+1) * n^k, where n is
-    the larger lap count; a violation means the recursion is broken, so it
-    raises rather than returning bad data.
+    The levels are streamed: only the level-1 family and the latest one
+    are held.  Checks the combinatorial ceiling |family_k| <= (k+1) * n^k,
+    where n is the larger lap count; a violation means the recursion is
+    broken, so it raises rather than returning bad data.
     """
     n = max(f.lap_count(), g.lap_count())
+    base = fam = initial_branches(f, g)
     rows = []
-    for fam in branch_families(f, g, k_max, cap_arcs=cap_arcs):
+    for k in range(1, k_max + 1):
+        if k > 1:
+            fam = next_family(base, fam, cap_arcs=cap_arcs)
         count = len(fam)
-        if count > (fam.level + 1) * n**fam.level:
-            raise AssertionError(
-                f"branch count {count} at level {fam.level} exceeds "
-                f"({fam.level}+1)*{n}^{fam.level}"
-            )
-        rows.append((fam.level, count, math.log(count) / fam.level))
+        if count > (k + 1) * n**k:
+            raise AssertionError(f"branch count {count} at level {k} exceeds ({k}+1)*{n}^{k}")
+        rows.append((k, count, math.log(count) / k))
     return rows

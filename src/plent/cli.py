@@ -18,8 +18,9 @@ from pathlib import Path
 
 from . import serialize
 from .blocks import appendix_system, level_report
-from .branch import branch_counts
+from .branch import BranchFamily, branch_counts
 from .entropy import (
+    OrbitSet,
     bracket_theorem_main,
     entropy_estimate,
     find_horseshoe,
@@ -28,7 +29,7 @@ from .entropy import (
 from .errors import ParseError
 from .families import parse_family
 from .invlim import DiagonalSystem, check_diagonal_compat, entropy_estimate_diagonal
-from .plmap import entropy_lap_growth
+from .plmap import LapGrowth, entropy_lap_growth
 from .relation import (
     PLRelation,
     compose_rel,
@@ -265,7 +266,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file with defaults")
     p.add_argument("--cap-breakpoints", type=_positive_int, default=10**6, dest="cap_breakpoints")
     p.add_argument("--cap-orbits", type=_positive_int, default=200_000, dest="cap_orbits")
-    p.add_argument("--cap-arcs", type=_positive_int, default=10**6, dest="cap_arcs")
+    p.add_argument(
+        "--cap-arcs",
+        type=_positive_int,
+        default=10**6,
+        dest="cap_arcs",
+        help="arcs per branch family; a family costs about 280 bytes per arc at its peak",
+    )
     p.set_defaults(parser=p)
 
 
@@ -351,20 +358,26 @@ def _config_token(key: str, value) -> str:
 
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv.  Entries of a --config JSON file are handed to the same
-    parser as flags placed before argv's own, so they are converted and
-    validated exactly like flags, and an explicit flag wins."""
-    args = ap.parse_args(argv)
-    if not args.config:
-        return args
+    parser as flags placed right after the subcommand, before argv's own,
+    so they are converted and validated exactly like flags, they can supply
+    a required flag, and an explicit flag wins.  A first pass looks only
+    for --config, so it enforces no required flag."""
+    first = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    first.add_argument("--config")
     try:
-        config = json.loads(Path(args.config).read_text())
+        path = first.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # e.g. --config without a file: ap reports it
+        path = None
+    if not path or argv[0].startswith("-"):
+        return ap.parse_args(argv)
+    try:
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ParseError(f"config file: {err}") from err
     if not isinstance(config, dict):
         raise ParseError("config file: expected a JSON object")
-    at = argv.index(args.command) + 1
     tokens = [_config_token(key, value) for key, value in config.items()]
-    return ap.parse_args([*argv[:at], *tokens, *argv[at:]])
+    return ap.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def _check_usage(args: argparse.Namespace) -> None:
@@ -394,6 +407,20 @@ def _check_usage(args: argparse.Namespace) -> None:
         args.parser.error(f"{args.command} {used} needs the second map --g")
 
 
+def _partial_size(partial) -> dict:
+    """The size of the partial result that a cap's `ResourceError` carries,
+    for failure.json: the arcs and level of a branch family, the orbits of
+    an orbit set, the terms of a lap growth.  (len() of the two records
+    would count their fields.)"""
+    if isinstance(partial, BranchFamily):
+        return {"partial_size": len(partial), "partial_level": partial.level}
+    if isinstance(partial, OrbitSet):
+        return {"partial_size": len(partial.orbits)}
+    if isinstance(partial, LapGrowth):
+        return {"partial_size": len(partial.terms)}
+    return {}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = _apply_config(ap, list(sys.argv[1:] if argv is None else argv))
@@ -404,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(getattr(args, "out", "plent-out"))
         out.mkdir(parents=True, exist_ok=True)
         report = {"command": args.command, "error": type(err).__name__, "message": str(err)}
+        report.update(_partial_size(getattr(err, "partial", None)))
         (out / "failure.json").write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report), file=sys.stderr)
         return 2

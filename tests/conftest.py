@@ -1,0 +1,25 @@
+"""Fixtures shared by the test modules."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from plent.plmap import PLMap
+from plent.relation import MonotoneArc
+
+
+def _family_arcs(fam) -> list[MonotoneArc]:
+    """The arcs of a branch family, built through the validating
+    constructors from the integer keys that are all a family keeps."""
+    lat = fam._lattice
+    arcs = []
+    for key in lat.keys:
+        m = len(key) // 2
+        pts = [(F(x, lat.dx), F(y, lat.dy)) for x, y in zip(key[:m], key[m:])]
+        arcs.append(MonotoneArc.from_map(PLMap(pts)))
+    return arcs
+
+
+@pytest.fixture
+def family_arcs():
+    return _family_arcs

@@ -35,7 +35,7 @@ from plent.relation import (
     rel_union,
     strongly_commutes,
 )
-from plent.branch import branch_counts, branch_families
+from plent.branch import branch_counts, initial_branches, next_family
 from plent.entropy import (
     bracket_theorem_main,
     enumerate_orbits,
@@ -85,14 +85,15 @@ def test_criterion_2_strong_commutation_table():
     assert time.perf_counter() - start < 10
 
 
-def test_criterion_3_branch_calculus():
+def test_criterion_3_branch_calculus(family_arcs):
     start = time.perf_counter()
-    level1, level2 = branch_families(tent(2), tent(3), 2)
+    level1 = initial_branches(tent(2), tent(3))
+    level2 = next_family(level1, level1)
     assert len(level1) == 4
     assert len(level2) == 14
 
     def present(fam, dom, ran):
-        return any(b.dom == dom and b.ran == ran for b in fam.branches)
+        return any(a.dom == dom and a.ran == ran for a in family_arcs(fam))
 
     assert present(level2, Interval(F(4, 9), F(2, 3)), Interval(F(1, 2), F(1)))
     assert present(level2, Interval(F(2, 3), F(1)), Interval(F(0), F(3, 4)))

@@ -1,23 +1,53 @@
 """Branch families of iterated set-valued compositions."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from plent.blocks import unit_copy
 from plent.errors import InvalidFamilyError, ResourceError
-from plent.plmap import Interval
+from plent.plmap import Interval, PLMap
 from plent.families import appendix_pair, block_interval, parse_family, plateau_map, tent
-from plent.relation import param_graph, rel_equals, rel_power
+from plent.relation import PLRelation, param_graph, rel_equals, rel_power
 import plent.branch
 from plent.branch import (
     branch_counts,
-    branch_families,
     chain,
     initial_branches,
     next_family,
 )
+
+
+def _families(f, g, k_max):
+    """The families of levels 1..k_max, every one kept."""
+    fams = [initial_branches(f, g)]
+    for _ in range(k_max - 1):
+        fams.append(next_family(fams[0], fams[-1]))
+    return fams
+
+
+def _maps_built(monkeypatch) -> list:
+    """A list that grows by one entry per `PLMap` built from now on."""
+    built = []
+    init, canonical = PLMap.__init__, PLMap._from_canonical.__func__
+
+    def counted_init(self, points):
+        built.append(1)
+        init(self, points)
+
+    def counted_canonical(cls, pts):
+        built.append(1)
+        return canonical(cls, pts)
+
+    monkeypatch.setattr(PLMap, "__init__", counted_init)
+    monkeypatch.setattr(PLMap, "_from_canonical", classmethod(counted_canonical))
+    return built
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("branch counts chained arcs in Fractions")
 
 
 def test_initial_family_of_coprime_tents():
@@ -46,12 +76,29 @@ def test_level_counts_for_3_2():
 
 
 def test_branch_counts_build_no_branch_objects(monkeypatch):
-    def refuse(self):
-        raise AssertionError("branch counts built Branch objects")
-
-    monkeypatch.setattr(plent.branch._Lattice, "branches", refuse)
+    """Past level 1, counting builds no map, so no arc: every level is
+    chained as integer keys."""
+    built = _maps_built(monkeypatch)
+    monkeypatch.setattr(plent.branch, "chain", _refuse)
+    branch_counts(tent(5), tent(3), 1)
+    level1 = len(built)
     rows = branch_counts(tent(5), tent(3), 4)
     assert [count for _, count, _ in rows] == [7, 41, 223, 1169]
+    assert level1 > 0 and len(built) == 2 * level1
+
+
+def test_branch_counts_peak_memory():
+    """Counts-only families streamed two levels at a time: 154,063 arcs at
+    level 7 peak below 45 MB of traced allocations (54 MB while every
+    level and a provenance pair per arc were kept)."""
+    tracemalloc.start()
+    try:
+        rows = branch_counts(tent(5), tent(3), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1][1] == 154_063
+    assert peak < 45 * 10**6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_level_counts_respect_combinatorial_ceiling():
@@ -60,20 +107,17 @@ def test_level_counts_respect_combinatorial_ceiling():
             assert count <= (k + 1) * n**k
 
 
-def test_family_relation_equals_relation_power():
+def test_family_relation_equals_relation_power(family_arcs):
     base = param_graph(tent(3), tent(2))
-    for fam in branch_families(tent(3), tent(2), 3):
-        assert rel_equals(fam.relation(), rel_power(base, fam.level))
+    for fam in _families(tent(3), tent(2), 3):
+        assert rel_equals(PLRelation(family_arcs(fam)), rel_power(base, fam.level))
 
 
-def test_chained_branch_projections():
-    level1, level2 = branch_families(tent(2), tent(3), 2)
+def test_chained_branch_projections(family_arcs):
+    level1, level2 = _families(tent(2), tent(3), 2)
 
     def find(fam, dom, ran, kind):
-        hits = [
-            b for b in fam.branches
-            if b.dom == dom and b.ran == ran and b.arc.kind == kind
-        ]
+        hits = [a for a in family_arcs(fam) if a.dom == dom and a.ran == ran and a.kind == kind]
         assert len(hits) == 1, (dom, ran, kind)
         return hits[0]
 
@@ -90,28 +134,30 @@ def test_chained_branch_projections():
 
 
 def test_next_family_requires_level_one_base():
-    fams = branch_families(tent(3), tent(2), 2)
+    fams = _families(tent(3), tent(2), 2)
     with pytest.raises(InvalidFamilyError):
         next_family(fams[1], fams[1])
 
 
 def test_cap_raises_with_partial_result():
     with pytest.raises(ResourceError) as err:
-        branch_families(tent(3), tent(2), 4, cap_arcs=20)
+        branch_counts(tent(3), tent(2), 4, cap_arcs=20)
     assert err.value.partial is not None
+    assert err.value.partial.level == 3
     assert len(err.value.partial) > 20
 
 
 @pytest.mark.parametrize("f, g, k_max, cap", [(3, 2, 4, 20), (3, 5, 6, 6100)])
 def test_cap_fires_at_the_first_arc_over_the_cap(f, g, k_max, cap):
     with pytest.raises(ResourceError) as err:
-        branch_families(tent(f), tent(g), k_max, cap_arcs=cap)
+        branch_counts(tent(f), tent(g), k_max, cap_arcs=cap)
     assert len(err.value.partial) == cap + 1
 
 
 def _reference_keys(f, g, k_max):
-    """Arc keys of each level, chained pair by pair with `chain`."""
-    level1 = initial_branches(f, g).branches
+    """Arc keys of each level, chained pair by pair with `chain` in
+    `Fraction`s from the strict arcs of the parameterized curve."""
+    level1 = [arc for arc in param_graph(f, g).arcs if not arc.is_point()]
     fams = [level1]
     for _ in range(k_max - 1):
         out = {}
@@ -119,29 +165,36 @@ def _reference_keys(f, g, k_max):
             for a in level1:
                 c = chain(a, b)
                 if c is not None:
-                    out.setdefault(c.arc.key(), c)
-        fams.append(tuple(out.values()))
-    return [{b.arc.key() for b in fam} for fam in fams]
+                    out.setdefault(c.key(), c)
+        fams.append(list(out.values()))
+    return [{arc.key() for arc in fam} for fam in fams]
+
+
+def _keys(fams, family_arcs):
+    return [{arc.key() for arc in family_arcs(fam)} for fam in fams]
 
 
 @pytest.mark.parametrize("f, g", [(3, 2), (2, 3), (5, 3), (3, 5), (4, 3)])
-def test_lattice_families_equal_chained_reference(f, g):
-    fams = branch_families(tent(f), tent(g), 4)
+def test_lattice_families_equal_chained_reference(f, g, family_arcs):
     want = _reference_keys(tent(f), tent(g), 4)
-    assert [{b.arc.key() for b in fam.branches} for fam in fams] == want
+    assert _keys(_families(tent(f), tent(g), 4), family_arcs) == want
 
 
 @pytest.mark.parametrize(
     "f, g, k, digest",
     [
-        (3, 2, 6, "53669281c0ecc1a4c3b1ad5d06b3f44000014267b96b450f2d1f0cbd3327f74c"),
-        (3, 5, 5, "1c09376ae5849599663ed1ae7c69c391cbbdf8bbe458eead7359f01aef83626a"),
+        (3, 2, 6, "141655e49b40987f35355529f4b5f8f291d17e8f8c5a274cdf1d19aebc109c49"),
+        (3, 5, 5, "2966b76e468f66e82f26a6efe0325af8af987bf918a8a51a5047e24da3ddb91e"),
     ],
 )
-def test_branch_order_and_provenance_are_pinned(f, g, k, digest):
-    fam = branch_families(tent(f), tent(g), k)[-1]
-    pairs = repr([(b.arc.key(), b.provenance) for b in fam.branches])
-    assert hashlib.sha256(pairs.encode()).hexdigest() == digest
+def test_sorted_level_keys_are_pinned(f, g, k, digest):
+    """Each level's denominators and sorted key set, as the kernel built
+    them when it also kept a provenance pair per arc."""
+    levels = [
+        (fam._lattice.dx, fam._lattice.dy, sorted(fam._lattice.keys))
+        for fam in _families(tent(f), tent(g), k)
+    ]
+    assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
 
 
 def _appendix_block(k, i):
@@ -155,36 +208,34 @@ APPENDIX_BLOCKS = [(k, i) for k in (1, 2, 3) for i in range(1, k + 3)]
 
 
 @pytest.mark.parametrize("k, i", APPENDIX_BLOCKS, ids=[f"k{k}-block{i}" for k, i in APPENDIX_BLOCKS])
-def test_appendix_block_families_equal_chained_reference(k, i):
+def test_appendix_block_families_equal_chained_reference(k, i, family_arcs):
     f, g = _appendix_block(k, i)
-    fams = branch_families(f, g, 4)
-    assert [{b.arc.key() for b in fam.branches} for fam in fams] == _reference_keys(f, g, 4)
+    assert _keys(_families(f, g, 4), family_arcs) == _reference_keys(f, g, 4)
 
 
 @pytest.mark.parametrize(
     "f, g", [("tent:3", "gfold:5"), ("gfold:5", "gfold:7"), ("gfold:7", "slope:3/2"), ("id", "gfold:7")]
 )
-def test_multi_breakpoint_families_equal_chained_reference(f, g):
+def test_multi_breakpoint_families_equal_chained_reference(f, g, family_arcs):
     f, g = parse_family(f), parse_family(g)
-    assert any(len(b.arc.homeo.breakpoints) > 2 for b in initial_branches(f, g).branches)
-    fams = branch_families(f, g, 4)
-    assert [{b.arc.key() for b in fam.branches} for fam in fams] == _reference_keys(f, g, 4)
+    assert any(len(a.homeo.breakpoints) > 2 for a in family_arcs(initial_branches(f, g)))
+    assert _keys(_families(f, g, 4), family_arcs) == _reference_keys(f, g, 4)
 
 
 @pytest.mark.parametrize("f, g, cap", [("appendix", None, 100), ("gfold:5", "gfold:7", 50)])
 def test_cap_of_a_mixed_family_fires_at_the_first_arc_over_it(f, g, cap):
     f, g = _appendix_block(2, 3) if f == "appendix" else (parse_family(f), parse_family(g))
     with pytest.raises(ResourceError) as err:
-        branch_families(f, g, 4, cap_arcs=cap)
+        branch_counts(f, g, 4, cap_arcs=cap)
     assert len(err.value.partial) == cap + 1
 
 
 def test_appendix_block_counts_build_no_branch_objects_and_chain_nothing(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("branch counts built Branch objects or chained in Fractions")
-
     f, g = _appendix_block(2, 3)
-    monkeypatch.setattr(plent.branch._Lattice, "branches", refuse)
-    monkeypatch.setattr(plent.branch, "chain", refuse)
+    built = _maps_built(monkeypatch)
+    monkeypatch.setattr(plent.branch, "chain", _refuse)
+    branch_counts(f, g, 1)
+    level1 = len(built)
     rows = branch_counts(f, g, 4)
     assert [count for _, count, _ in rows] == [7, 32, 157, 782]
+    assert level1 > 0 and len(built) == 2 * level1

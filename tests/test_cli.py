@@ -162,6 +162,54 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 3  # header + k=1,2: the explicit flag wins
 
 
+@pytest.mark.parametrize(
+    "command, config, artifact",
+    [
+        ("appendix", {"nseq": "2,5", "kmax": 1}, "appendix.csv"),
+        ("bracket", {"n": 3, "m": 2, "kmax": 2}, "bracket.json"),
+        ("horseshoe", {"f": "tent:2", "g": "tent:3", "n": 2}, "horseshoe.json"),
+        ("entropy-map", {"f": "tent:3", "nmax": 2}, "lap_growth.csv"),
+        ("commute-check", {"f": "tent:2", "g": "tent:3"}, "commute.json"),
+        ("invlim", {"f": "tent:2", "depth": 3, "nmax": 2}, "invlim.csv"),
+    ],
+)
+def test_config_supplies_required_flags(tmp_path, command, config, artifact):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = [f"--{key}={value}" for key, value in config.items()]
+    assert main([command, *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+    assert (tmp_path / "config" / artifact).read_bytes() == (tmp_path / "flags" / artifact).read_bytes()
+
+
+def test_an_explicit_flag_wins_over_a_required_flag_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nseq": "2,5,2", "kmax": 3}))
+    assert main(["appendix", "--config", str(cfg), "--nseq", "2,5", "--kmax", "1", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path, "appendix.csv")
+    assert {row[0] for row in rows[1:]} == {"1"}
+    assert {row[1] for row in rows[1:]} == {"2"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--config", "CFG"], "the following arguments are required: --nseq"),
+        (["--nseq", "2,5", "--config"], "argument --config: expected one argument"),
+    ],
+)
+def test_a_required_flag_in_neither_argv_nor_config_is_a_usage_error(tmp_path, argv, message, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmax": 1}))
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["appendix", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plent appendix ")
+    assert message in err
+
+
 @pytest.mark.parametrize("eps", ["1/8,1/16", ["1/8", "1/16"]])
 def test_config_values_go_through_the_flag_parser(tmp_path, eps):
     args = ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--nmax", "2", "--grid", "1/16"]
@@ -358,6 +406,26 @@ def test_arc_cap_is_cap_arcs_not_cap_orbits(tmp_path, argv):
     assert "cap of 20 arcs" in failure["message"]
 
 
+def test_arc_cap_failure_reports_the_size_of_the_partial_family(tmp_path):
+    # 7, 41, 223 and then 1169 arcs: the cap of 1000 fires at level 4
+    assert run(tmp_path, "branches", "--n", "5", "--m", "3", "--kmax", "6", "--cap-arcs", "1000") == 2
+    assert read_json(tmp_path, "failure.json") == {
+        "command": "branches",
+        "error": "ResourceError",
+        "message": "branch family exceeds cap of 1000 arcs",
+        "partial_size": 1001,
+        "partial_level": 4,
+    }
+
+
+def test_breakpoint_cap_failure_reports_the_terms_computed(tmp_path):
+    # tent(3)^4 has 82 breakpoints, over the cap of 50, after 3 terms
+    assert run(tmp_path, "entropy-map", "--f", "tent:3", "--nmax", "8", "--cap-breakpoints", "50") == 2
+    failure = read_json(tmp_path, "failure.json")
+    assert failure["error"] == "ResourceError"
+    assert failure["partial_size"] == 3
+
+
 def test_bracket_caps_the_breakpoints_of_its_iterates(tmp_path):
     # tent(3)^4 has 82 breakpoints, over the cap of 50
     argv = ["bracket", "--n", "3", "--m", "2", "--kmax", "6"]
@@ -368,9 +436,16 @@ def test_bracket_caps_the_breakpoints_of_its_iterates(tmp_path):
 
 
 def test_orbit_cap_writes_the_same_failure_report(tmp_path):
-    # 513 orbits of length 5 start on the 1/32 grid, over the cap of 500
+    # 513 orbits of length 5 start on the 1/32 grid, over the cap of 500;
+    # the cap fires at the 501st
     argv = ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--grid", "1/32", "--nmax", "6"]
     assert run(tmp_path, *argv, "--cap-orbits", "500") == 2
     assert [p.name for p in tmp_path.iterdir()] == ["failure.json"]
+    assert read_json(tmp_path, "failure.json") == {
+        "command": "entropy-rel",
+        "error": "ResourceError",
+        "message": "orbit count exceeds cap 500",
+        "partial_size": 501,
+    }
     digest = hashlib.sha256((tmp_path / "failure.json").read_bytes()).hexdigest()
-    assert digest == "dfffb70322c6959760b5b9d9290e45a60228212589c27252b025beec1bd2b0d7"
+    assert digest == "906c0f62fdd6bd15210aa0c24a63276f7f38ba58474e0b215839c5d0c21166f1"

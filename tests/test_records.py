@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from plent.blocks import BlockRow, LevelReport
-from plent.branch import Branch, _Lattice
+from plent.branch import _Lattice
 from plent.entropy import BracketReport, EstimateRow, HorseshoeCert, IterateBound, OrbitSet
 from plent.invlim import DiagonalEstimateRow, TruncatedPoint
 from plent.plmap import Interval, LapGrowth, PLMap
@@ -35,8 +35,7 @@ RECORDS = {
     "LapGrowth": (LapGrowth((0.5, 0.25), None), "exact"),
     "MonotoneArc": (ARC, "kind"),
     "MonotoneArc.vertical": (MonotoneArc.vertical(F(1, 3), HALVES[1]), "ys"),
-    "Branch": (Branch(ARC, (0, 1)), "provenance"),
-    "_Lattice": (_Lattice(2, 3, [(0, 2, 0, 3)], [None]), "dx"),
+    "_Lattice": (_Lattice(2, 3, [(0, 2, 0, 3)]), "dx"),
     "OrbitSet": (OrbitSet(1, F(1, 2), ((F(0),), (F(1, 2),))), "orbits"),
     "EstimateRow": (EstimateRow(1, F(1, 8), F(1, 32), 2, 2, math.log(2)), "estimate"),
     "HorseshoeCert": (CERT, "intervals"),
