@@ -90,7 +90,7 @@ def _block_lower(
 
 
 def level_report(
-    n_seq: Sequence[int], s: RatLike, k: int, k_branch: int = 5
+    n_seq: Sequence[int], s: RatLike, k: int, k_branch: int = 5, cap_arcs: int | None = None
 ) -> LevelReport:
     """Certified bounds for every block of psi_k = g_k o f_k^{-1}.
 
@@ -98,7 +98,8 @@ def level_report(
     n_seq[k-1] intervals; single-valued constant-slope blocks (in
     particular block 1, carrying the slope-s zigzag) get the exact log s
     certificate instead, since a strict horseshoe of a single-valued
-    N-lap map certifies at best log(N-1) at any finite stage.
+    N-lap map certifies at best log(N-1) at any finite stage.  cap_arcs
+    caps every block's branch family, as in `branch_counts`.
     """
     f_k, g_k = _pair(k, tuple(n_seq), as_rat(s))
     n_k = n_seq[k - 1]
@@ -110,7 +111,7 @@ def level_report(
         rel = param_graph(fb, gb)
         horseshoe_n = n_k if i == k + 1 else None
         lower, kind, cert = _block_lower(fb, gb, rel, horseshoe_n)
-        counts = branch_counts(fb, gb, k_branch)
+        counts = branch_counts(fb, gb, k_branch, cap_arcs=cap_arcs)
         kb, _cnt, upper = counts[-1]
         rows.append(BlockRow(i, blk, lower, kind, upper, kb, cert))
     return LevelReport(k, n_k, tuple(rows))

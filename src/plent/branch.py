@@ -27,10 +27,10 @@ from .plmap import (
     _exact,
     _lattice_for,
     _merge_collinear,
-    _on_shared_axis,
+    _pieces,
     _scaled,
     _slopes,
-    _value,
+    _sweep,
 )
 from .relation import INC, DEC, MonotoneArc, _compose_strict, param_graph
 
@@ -104,7 +104,7 @@ def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
     breakpoints are the overlap's ends and the breakpoints of a and b
     inside it, x from a^{-1} and y from b, with collinear ones merged."""
     zs = sorted({zlo, zhi, *(z for z in za if zlo < z < zhi), *(z for z in zb if zlo < z < zhi)})
-    pts = [(_value(za, fa, z), _value(zb, fb, z)) for z in zs]
+    pts = list(zip(_sweep(za, fa, zs), _sweep(zb, fb, zs)))
     if pts[0][0] > pts[-1][0]:
         pts.reverse()
     pts = _merge_collinear(pts)
@@ -167,9 +167,7 @@ def next_family(
     b_slopes = (s for xs, ys in halves_b for s in _slopes(xs, ys, lat_b.dx, lat_b.dy))
     ny = _lattice_for(lat_b.dy, shared, b_slopes)
     mx, my = nx // lat_a.dx, ny // lat_b.dy
-    rows = [
-        _on_shared_axis(ys, xs, sl, sa, mx, shared, nx) for (xs, ys), sl in zip(halves_a, inv_slopes)
-    ]
+    rows = [_pieces([y * sa for y in ys], [x * mx for x in xs]) for xs, ys in halves_a]
     # a two-point level-1 arc maps Z on its range to x = u0 + Z*ca over nx
     lefts = []
     for (rlo, rhi), ((u0, ca),) in (r for r in rows if len(r[0]) == 2):
@@ -208,8 +206,7 @@ def next_family(
                 general, zb, fb = bends, (blo, bhi), ((w0, cb),)
             else:
                 m = len(arc) // 2
-                sl = _slopes(arc[:m], arc[m:], lat_b.dx, lat_b.dy)
-                zb, fb = _on_shared_axis(arc[:m], arc[m:], sl, sb, my, shared, ny)
+                zb, fb = _pieces([x * sb for x in arc[:m]], [y * my for y in arc[m:]])
                 general = rows
             for za, fa in general:
                 zlo, zhi = max(za[0], zb[0]), min(za[-1], zb[-1])

@@ -15,6 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import serialize
 from .blocks import appendix_system, level_report
@@ -27,9 +28,9 @@ from .entropy import (
     verify_horseshoe,
 )
 from .errors import ParseError
-from .families import parse_family
+from .families import parse_family, tent
 from .invlim import DiagonalSystem, check_diagonal_compat, entropy_estimate_diagonal
-from .plmap import LapGrowth, entropy_lap_growth
+from .plmap import LapGrowth, PLMap, entropy_lap_growth
 from .relation import (
     PLRelation,
     compose_rel,
@@ -86,14 +87,25 @@ def _tent_params(text: str) -> list[int]:
     return values
 
 
+# a --f or --g value: the spec as given, and the map it parses to
+_MapSpec = NamedTuple("_MapSpec", [("text", str), ("map", PLMap)])
+
+
+def _map_spec(text: str) -> _MapSpec:
+    try:
+        return _MapSpec(text, parse_family(text))
+    except (ValueError, ZeroDivisionError) as err:
+        raise argparse.ArgumentTypeError(f"invalid map spec {text!r}: {err}") from None
+
+
 def _build_relation(args) -> PLRelation:
-    f = parse_family(args.f)
+    f = args.f.map
     if args.mode == "graph":
         rel = graph_of(f)
     elif args.mode == "param":
-        rel = param_graph(f, parse_family(args.g))
+        rel = param_graph(f, args.g.map)
     elif args.mode == "invcomp":
-        rel = compose_rel(inverse_rel(graph_of(f)), graph_of(parse_family(args.g)))
+        rel = compose_rel(inverse_rel(graph_of(f)), graph_of(args.g.map))
     else:
         raise ValueError(f"unknown relation mode {args.mode!r}")
     if args.power > 1:
@@ -119,14 +131,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_commute_check(args) -> int:
-    f, g = parse_family(args.f), parse_family(args.g)
-    equal, lhs, rhs = strong_commutation_relations(f, g)
+    equal, lhs, rhs = strong_commutation_relations(args.f.map, args.g.map)
     out = _out_dir(args)
     _write_json(
         out / "commute.json",
         {
-            "f": args.f,
-            "g": args.g,
+            "f": args.f.text,
+            "g": args.g.text,
             "strongly_commutes": equal,
             "g_after_f_inverse": serialize.relation_to_json(lhs),
             "f_inverse_after_g": serialize.relation_to_json(rhs),
@@ -136,8 +147,8 @@ def cmd_commute_check(args) -> int:
 
 
 def cmd_branches(args) -> int:
-    f = parse_family(args.f) if args.f else parse_family(f"tent:{args.m}")
-    g = parse_family(args.g) if args.g else parse_family(f"tent:{args.n}")
+    f = args.f.map if args.f else tent(args.m)
+    g = args.g.map if args.g else tent(args.n)
     rows = branch_counts(f, g, args.kmax, cap_arcs=args.cap_arcs)
     _write_csv(
         _out_dir(args) / "branches.csv",
@@ -193,8 +204,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_entropy_map(args) -> int:
-    f = parse_family(args.f)
-    growth = entropy_lap_growth(f, args.nmax, cap_breakpoints=args.cap_breakpoints)
+    growth = entropy_lap_growth(args.f.map, args.nmax, cap_breakpoints=args.cap_breakpoints)
     rows = [(i + 1, f"{t:.10f}") for i, t in enumerate(growth.terms)]
     out = _out_dir(args)
     _write_csv(out / "lap_growth.csv", ["n", "estimate"], rows)
@@ -217,11 +227,10 @@ def cmd_entropy_rel(args) -> int:
 
 
 def cmd_invlim(args) -> int:
-    f = parse_family(args.f)
     if args.system == "shift":
-        sys_ = DiagonalSystem.shift(f)
+        sys_ = DiagonalSystem.shift(args.f.map)
     else:
-        sys_ = DiagonalSystem.constant(f, parse_family(args.g))
+        sys_ = DiagonalSystem.constant(args.f.map, args.g.map)
     if not check_diagonal_compat(sys_, args.depth):
         _write_json(_out_dir(args) / "failure.json", {"error": "incompatible diagonal system"})
         return 1
@@ -240,7 +249,7 @@ def cmd_appendix(args) -> int:
     rows = []
     ok = compat
     for k in range(1, args.kmax + 1):
-        rep = level_report(args.nseq, args.s, k, k_branch=args.kbranch)
+        rep = level_report(args.nseq, args.s, k, k_branch=args.kbranch, cap_arcs=args.cap_arcs)
         target = max(math.log(float(args.s)), math.log(rep.n_k))
         slack = math.log(rep.rows[0].k_branch + 1) / rep.rows[0].k_branch
         level_ok = rep.lower >= target - 1e-12 and rep.upper <= target + slack + 1e-12
@@ -259,20 +268,22 @@ def cmd_appendix(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The flags every subcommand takes; the parser itself is kept in the
+CAPS = {
+    "breakpoints": (10**6, "breakpoints per composed map"),
+    "orbits": (200_000, "orbits enumerated"),
+    "arcs": (10**6, "arcs per branch family; a family costs about 280 bytes per arc at its peak"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *caps: str) -> None:
+    """The flags every subcommand takes, and the `--cap-*` flags of the
+    caps (keys of CAPS) that it reads; the parser itself is kept in the
     namespace so that usage errors found after parsing print its usage."""
     p.add_argument("--out", default="plent-out", help="artifact directory")
     p.add_argument("--config", default=None, help="JSON config file with defaults")
-    p.add_argument("--cap-breakpoints", type=_positive_int, default=10**6, dest="cap_breakpoints")
-    p.add_argument("--cap-orbits", type=_positive_int, default=200_000, dest="cap_orbits")
-    p.add_argument(
-        "--cap-arcs",
-        type=_positive_int,
-        default=10**6,
-        dest="cap_arcs",
-        help="arcs per branch family; a family costs about 280 bytes per arc at its peak",
-    )
+    for cap in caps:
+        default, what = CAPS[cap]
+        p.add_argument(f"--cap-{cap}", type=_positive_int, default=default, help=what)
     p.set_defaults(parser=p)
 
 
@@ -281,23 +292,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("commute-check", help="strong-commutation test with witness")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    p.add_argument("--f", type=_map_spec, required=True)
+    p.add_argument("--g", type=_map_spec, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_commute_check)
 
     p = sub.add_parser("branches", help="branch family counts")
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--m", type=_positive_int, default=None)
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
+    p.add_argument("--f", type=_map_spec, default=None)
+    p.add_argument("--g", type=_map_spec, default=None)
     p.add_argument("--kmax", type=_positive_int, default=6)
-    _add_common(p)
+    _add_common(p, "arcs")
     p.set_defaults(fn=cmd_branches)
 
     p = sub.add_parser("horseshoe", help="search for an exact horseshoe certificate")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", default=None)
+    p.add_argument("--f", type=_map_spec, required=True)
+    p.add_argument("--g", type=_map_spec, default=None)
     p.add_argument("--mode", choices=["graph", "param", "invcomp"], default="param")
     p.add_argument("--power", type=_positive_int, default=1)
     p.add_argument("--n", type=_horseshoe_size, required=True)
@@ -308,30 +319,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--kmax", type=_positive_int, default=6)
-    _add_common(p)
+    _add_common(p, "arcs", "breakpoints")
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("entropy-map", help="lap-growth entropy of a PL map")
-    p.add_argument("--f", required=True)
+    p.add_argument("--f", type=_map_spec, required=True)
     p.add_argument("--nmax", type=_positive_int, default=6)
-    _add_common(p)
+    _add_common(p, "breakpoints")
     p.set_defaults(fn=cmd_entropy_map)
 
     p = sub.add_parser("entropy-rel", help="orbit-growth entropy of a relation")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", default=None)
+    p.add_argument("--f", type=_map_spec, required=True)
+    p.add_argument("--g", type=_map_spec, default=None)
     p.add_argument("--mode", choices=["graph", "param", "invcomp"], default="param")
     p.add_argument("--power", type=_positive_int, default=1)
     p.add_argument("--eps", type=_positive_rat_list, default=[Fraction(1, 8), Fraction(1, 16)])
     p.add_argument("--nmax", type=_positive_int, default=4)
     p.add_argument("--grid", type=_positive_rat, default=Fraction(1, 32))
-    _add_common(p)
+    _add_common(p, "orbits")
     p.set_defaults(fn=cmd_entropy_rel)
 
     p = sub.add_parser("invlim", help="diagonal-map entropy estimates on a truncated inverse limit")
     p.add_argument("--system", choices=["shift", "diag"], default="shift")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", default=None)
+    p.add_argument("--f", type=_map_spec, required=True)
+    p.add_argument("--g", type=_map_spec, default=None)
     p.add_argument("--depth", type=_positive_int, default=8)
     p.add_argument("--nmax", type=_positive_int, default=10)
     p.add_argument("--eps", type=_positive_rat, default=Fraction(1, 16))
@@ -344,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nseq", type=_tent_params, required=True)
     p.add_argument("--kmax", type=_positive_int, default=3)
     p.add_argument("--kbranch", type=_positive_int, default=5)
-    _add_common(p)
+    _add_common(p, "arcs")
     p.set_defaults(fn=cmd_appendix)
 
     return ap

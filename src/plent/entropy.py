@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from .branch import branch_counts
 from .errors import CertificationError, CompositionError, ResourceError
 from .plmap import (
-    Interval, _exact, _lattice_for, _lattice_sweep, _on_lattice, _scaled, _slopes, as_rat, compose
+    Interval, _lattice_for, _on_lattice, _pieces, _scaled, _slopes, _sweep, as_rat, compose
 )
 from .relation import (
     DEC,
@@ -370,12 +370,11 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     interval's image under the relation covers their union.
 
     The check runs in integer arithmetic on two lattices (see `_lattice`):
-    x-coordinates on 1/Dx, y-coordinates and targets on 1/D.  Each segment
-    of an arc that meets a source is checked once to rise by an integer c
-    per 1/Dx step; a remainder raises ArithmeticError, nothing is rounded.
-    The arc's value at each source endpoint x, clipped to its domain, is
-    then y0 + (x - x0) * c on the segment from (x0, y0) that holds x, one
-    multiply-add, with a cursor that only moves right along the arc.
+    x-coordinates on 1/Dx, y-coordinates and targets on 1/D.  Each arc that
+    meets a source is put in `_pieces` form, which checks once per segment
+    that it rises by an integer per 1/Dx step (a remainder raises
+    ArithmeticError, nothing is rounded), and `_sweep` reads its values at
+    the source endpoints, clipped to its domain, one multiply-add each.
     """
     ivs = sorted(intervals, key=lambda iv: iv.lo)
     if len(ivs) < 2 or any(iv.is_point() for iv in ivs):
@@ -412,14 +411,7 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
         pts = ends[2 * i : 2 * j]
         pts[0] = max(pts[0], xs[0])
         pts[-1] = min(pts[-1], xs[-1])
-        vals: list[int] = []
-        at = 0
-        for k in range(len(xs) - 1):
-            c = _exact(ys[k + 1] - ys[k], xs[k + 1] - xs[k])
-            w = ys[k] - xs[k] * c
-            top = bisect_right(pts, xs[k + 1], at)
-            vals += [w + x * c for x in pts[at:top]]
-            at = top
+        vals = _sweep(*_pieces(xs, ys), pts)
         # a monotone arc maps each source's (lo, hi) in order or reversed
         pairs = zip(vals[1::2], vals[::2]) if arc.kind == DEC else zip(vals[::2], vals[1::2])
         for img, pair in zip(images[i:j], pairs):
@@ -481,34 +473,31 @@ def _crossings(rel: PLRelation, pts: list[Fraction]) -> dict[tuple[int, int], in
     preimages arc^-1(T) & T over the inc/dec arcs whose image over T covers
     T; preimages that only touch count as disjoint, as the laps of a tent
     do.  Such an arc takes both ends of T at points of T, so only inverses
-    are evaluated: in one sweep per arc over the points in its range, on
-    one lattice that holds every point and breakpoint and on which every
-    inverse slope maps them to integers."""
+    are evaluated: in one sweep per arc over the points in its range.  The
+    points and breakpoints lie on one lattice 1/d, and the inverses' values
+    on 1/(d*m), on which every inverse slope maps 1/d to integers."""
     curves = [arc.homeo.breakpoints for arc in rel.arcs if arc.kind in (INC, DEC)]
     d, (ps, *cs) = _scaled(pts, *([v for bp in bps for v in bp] for bps in curves))
     inverses = [(c[1::2], c[0::2]) for c in cs]  # (ys, xs) of each arc
     m = _lattice_for(d, d, (s for ys, xs in inverses for s in _slopes(ys, xs, d, d))) // d
-    ps = [p * m for p in ps]
+    pms = [p * m for p in ps]  # the points on 1/(d*m), to compare values with
     spans: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for ys, xs in inverses:
-        ys, xs = [y * m for y in ys], [x * m for x in xs]
-        if ys[0] > ys[-1]:
-            ys.reverse()
-            xs.reverse()
-        lo, hi = bisect_left(ps, ys[0]), bisect_right(ps, ys[-1])
-        back = _lattice_sweep(ys, xs, ps[lo:hi])
+        zs, pieces = _pieces(ys, [x * m for x in xs])
+        lo, hi = bisect_left(ps, zs[0]), bisect_right(ps, zs[-1])
+        back = _sweep(zs, pieces, ps[lo:hi])
         for i, a in enumerate(back, lo):
-            if a < ps[i]:
+            if a < pms[i]:
                 continue
             for j, b in enumerate(back[i - lo + 1 :], i + 1):
-                if a <= ps[j] and ps[i] <= b <= ps[j]:
+                if a <= pms[j] and pms[i] <= b <= pms[j]:
                     spans.setdefault((i, j), []).append((max(a, b), min(a, b)))
     # the most preimages with disjoint interiors, all inside T: greedily by
     # right end (interval scheduling)
     counts = {}
     for (i, j), ivs in spans.items():
         ivs.sort()
-        count, end = 0, ps[i]
+        count, end = 0, pms[i]
         for right, left in ivs:
             if left >= end:
                 count, end = count + 1, right

@@ -4,12 +4,14 @@ Maps hold their breakpoints as `fractions.Fraction`.  Composition runs in
 integer arithmetic: the breakpoints of both maps are put on integer
 lattices, one per axis, chosen so that every breakpoint and value of the
 result is an exact integer, and the `Fraction` map is built once at the
-end.  The integer-lattice helpers here (`_on_lattice`, `_scaled`,
-`_slopes`, `_lattice_for`, `_exact`, `_on_shared_axis`, `_value`,
-`_lattice_sweep`, `_on_curve`) are the one set that every other module
-imports; none defines its own.  Nothing in this module touches floating
-point except the entropy estimates at the very end, which report
-logarithms of exactly computed integers.
+end.  An integer PL curve has one form: `_pieces` gives its breakpoints
+and an integer (w, c) per segment, with value w + z*c, and `_sweep`
+reads it at increasing points.  The private helpers that other modules
+import are those two, the lattice helpers (`_on_lattice`, `_scaled`,
+`_slopes`, `_lattice_for`, `_exact`), `_on_curve`, `_merge_collinear` and
+the records' `_make_checked`; none defines its own.  Nothing in this
+module touches floating point except the entropy estimates at the very
+end, which report logarithms of exactly computed integers.
 """
 
 from __future__ import annotations
@@ -315,43 +317,37 @@ def _exact(num: int, den: int) -> int:
     return quo
 
 
-def _on_shared_axis(ins, outs, slopes, s_in: int, m_out: int, shared: int, n_out: int):
-    """A PL curve as a function of Z on the shared axis, with Z = ins*s_in
-    and value outs*m_out over n_out: its breakpoints in Z, increasing, and
-    per segment (w, c) with value w + Z*c, where c = n_out*num / (shared*den)
-    for the segment's slope num/den."""
+def _pieces(zs: Sequence[int], vs: Sequence[int]) -> tuple[Sequence[int], list[tuple[int, int]]]:
+    """The integer PL curve through (zs[i], vs[i]), zs strictly monotone
+    either way, as a function of z: its breakpoints, increasing, and per
+    segment (w, c) with value w + z*c.  The rise c per unit of z must be an
+    integer, checked once per segment: a remainder raises, it never rounds."""
     pieces = []
-    for k, (num, den) in enumerate(slopes):
-        c = _exact(n_out * num, shared * den)
-        pieces.append((outs[k] * m_out - ins[k] * s_in * c, c))
-    zs = [v * s_in for v in ins]
+    for k in range(len(zs) - 1):
+        c = _exact(vs[k + 1] - vs[k], zs[k + 1] - zs[k])
+        pieces.append((vs[k] - zs[k] * c, c))
     if zs[0] > zs[-1]:
-        zs.reverse()
-        pieces.reverse()
+        return zs[::-1], pieces[::-1]
     return zs, pieces
 
 
-def _value(zs: list[int], pieces: list[tuple[int, int]], z: int) -> int:
-    """The value at z, inside [zs[0], zs[-1]], of the `_on_shared_axis`
+def _value(zs: Sequence[int], pieces: list[tuple[int, int]], z: int) -> int:
+    """The value at one z, inside [zs[0], zs[-1]], of the `_pieces`
     function (zs, pieces)."""
     w, c = pieces[min(bisect_right(zs, z), len(pieces)) - 1]
     return w + z * c
 
 
-def _lattice_sweep(xs: list[int], ys: list[int], points: list[int]) -> list[int]:
-    """Exact values at the increasing points (all inside [xs[0], xs[-1]]) of
-    the PL map through (xs[i], ys[i]); the lattice must make each an
-    integer, a remainder raises."""
+def _sweep(zs: Sequence[int], pieces: list[tuple[int, int]], points: Iterable[int]) -> list[int]:
+    """The values at the increasing points, all inside [zs[0], zs[-1]], of
+    the `_pieces` function (zs, pieces), with a cursor that only moves right."""
     out = []
-    j = 1
-    for x in points:
-        while xs[j] < x:
-            j += 1
-        x0, y0 = xs[j - 1], ys[j - 1]
-        q, r = divmod((ys[j] - y0) * (x - x0), xs[j] - x0)
-        if r:
-            raise ArithmeticError("value is off the integer lattice")
-        out.append(y0 + q)
+    k = 0
+    for z in points:
+        while zs[k + 1] < z:
+            k += 1
+        w, c = pieces[k]
+        out.append(w + z * c)
     return out
 
 
@@ -369,7 +365,7 @@ def _on_curve(m: PLMap, d: int, col: list[int]) -> tuple[int, list[int]]:
         raise DomainError(f"{Fraction(off, d)} outside domain [{pts[0][0]}, {pts[-1][0]}]")
     dy, (ys,) = _scaled([y for _, y in pts])
     n = _lattice_for(dy, d, _slopes(mts, ys, d, dy))
-    image = dict(zip(ts, _lattice_sweep(mts, [y * (n // dy) for y in ys], ts)))
+    image = dict(zip(ts, _sweep(*_pieces(mts, [y * (n // dy) for y in ys]), ts)))
     return n, [image[t] for t in col]
 
 
@@ -409,7 +405,7 @@ def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
     nx = _lattice_for(gx, shared, ginv)
     ny = _lattice_for(fy, shared, fslopes)
     mx, my = nx // gx, ny // fy
-    fzs, fpieces = _on_shared_axis(fus, fys, fslopes, 1, my, shared, ny)
+    fzs, fpieces = _pieces(fus, [y * my for y in fys])
     xs, ys = [], []
     for x0, u0, (dx, du) in zip(gxs, gus, gsteps):
         xs.append(x0 * mx)

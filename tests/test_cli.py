@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from plent.cli import main
+from plent.cli import build_parser, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, gate  # noqa: E402
@@ -41,6 +41,12 @@ def test_commute_check_coprime_tents(tmp_path):
     assert run(tmp_path, "commute-check", "--f", "tent:2", "--g", "tent:3") == 0
     payload = read_json(tmp_path, "commute.json")
     assert payload["strongly_commutes"] is True
+
+
+def test_commute_json_is_pinned(tmp_path):
+    assert run(tmp_path, "commute-check", "--f", "tent:2", "--g", "tent:3") == 0
+    digest = hashlib.sha256((tmp_path / "commute.json").read_bytes()).hexdigest()
+    assert digest == "b9db28cae173daee8aaa934106edd282c3c207e03677381045a1daff441b5f29"
 
 
 def test_commute_check_failure_exits_one_with_witness(tmp_path):
@@ -231,10 +237,32 @@ def test_bad_config_values_are_rejected_like_bad_flags(tmp_path, config):
 
 
 def test_failures_produce_report_and_exit_two(tmp_path):
-    code = run(tmp_path, "entropy-map", "--f", "mystery:9")
+    # the specs parse, but their curve has a flat arc, so no family exists
+    code = run(tmp_path, "branches", "--f", "plateau", "--g", "tent:2", "--kmax", "2")
     assert code == 2
     payload = read_json(tmp_path, "failure.json")
-    assert "error" in payload
+    assert payload["error"] == "InvalidFamilyError"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("which", ["--f", "--g"])
+@pytest.mark.parametrize("spec", ["tent:x", "mystery:3", "tent:0", "sfold:4", "affine:1/2"])
+def test_a_map_spec_that_does_not_parse_is_a_usage_error(tmp_path, spec, which, source, capsys):
+    maps = {"--f": "tent:2", "--g": "tent:3", which: spec}
+    if source == "flag":
+        argv = [token for flag, value in maps.items() for token in (flag, value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: value for flag, value in maps.items()}))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["commute-check", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plent commute-check ")
+    assert f"argument {which}: " in err and repr(spec) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -264,7 +292,7 @@ def test_eps_and_grid_must_be_positive_rationals(tmp_path, argv, capsys):
     [
         ["invlim", "--f", "tent:2", "--nmax", "0"],
         ["invlim", "--f", "tent:2", "--depth", "0"],
-        ["invlim", "--f", "tent:2", "--cap-orbits", "0"],
+        ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--cap-orbits", "0"],
         ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--nmax", "0"],
         ["entropy-rel", "--f", "tent:2", "--g", "tent:3", "--power", "0"],
         ["entropy-map", "--f", "tent:2", "--nmax=-1"],
@@ -338,12 +366,16 @@ def test_appendix_inputs_the_system_cannot_take_are_usage_errors(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config", [{"nmax": 0}, {"depth": -2}, {"cap_orbits": "1/2"}])
-def test_config_counts_must_be_positive_integers(tmp_path, config, capsys):
+@pytest.mark.parametrize(
+    "command, config",
+    [("invlim", {"nmax": 0}), ("invlim", {"depth": -2}), ("entropy-rel", {"cap_orbits": "1/2"})],
+)
+def test_config_counts_must_be_positive_integers(tmp_path, command, config, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
+    maps = ["--f", "tent:2"] + (["--g", "tent:3"] if command == "entropy-rel" else [])
     with pytest.raises(SystemExit) as exc:
-        main(["invlim", "--f", "tent:2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        main([command, *maps, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -398,8 +430,12 @@ def test_branches_needs_both_maps(tmp_path, argv, missing, capsys):
         ["bracket", "--n", "3", "--m", "2", "--kmax", "4"],
     ],
 )
-def test_arc_cap_is_cap_arcs_not_cap_orbits(tmp_path, argv):
-    assert run(tmp_path / "orbits", *argv, "--cap-orbits", "20") == 0
+def test_arc_cap_is_cap_arcs_not_cap_orbits(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "orbits", *argv, "--cap-orbits", "20")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-orbits 20" in capsys.readouterr().err
+    assert not (tmp_path / "orbits").exists()
     assert run(tmp_path / "arcs", *argv, "--cap-arcs", "20") == 2
     failure = read_json(tmp_path / "arcs", "failure.json")
     assert failure["error"] == "ResourceError"
@@ -416,6 +452,50 @@ def test_arc_cap_failure_reports_the_size_of_the_partial_family(tmp_path):
         "partial_size": 1001,
         "partial_level": 4,
     }
+
+
+def test_appendix_caps_the_arcs_of_its_block_families(tmp_path):
+    # block 1's family has 3, 7 and then 15 arcs: the cap of 10 fires at
+    # level 3 (block 2's reaches 64 at level 5)
+    argv = ["appendix", "--nseq", "2,5", "--kmax", "1", "--kbranch", "5"]
+    assert run(tmp_path / "uncapped", *argv) == 0
+    assert run(tmp_path / "capped", *argv, "--cap-arcs", "10") == 2
+    assert read_json(tmp_path / "capped", "failure.json") == {
+        "command": "appendix",
+        "error": "ResourceError",
+        "message": "branch family exceeds cap of 10 arcs",
+        "partial_size": 11,
+        "partial_level": 3,
+    }
+
+
+# the minimal valid argv of each subcommand, and the caps that it reads
+SUBCOMMANDS = {
+    "commute-check": (["--f", "tent:2", "--g", "tent:3"], set()),
+    "branches": (["--n", "3", "--m", "2"], {"arcs"}),
+    "horseshoe": (["--f", "tent:2", "--g", "tent:3", "--n", "2"], set()),
+    "bracket": (["--n", "3", "--m", "2"], {"arcs", "breakpoints"}),
+    "entropy-map": (["--f", "tent:2"], {"breakpoints"}),
+    "entropy-rel": (["--f", "tent:2", "--g", "tent:3"], {"orbits"}),
+    "invlim": (["--f", "tent:2"], set()),
+    "appendix": (["--nseq", "2,5"], {"arcs"}),
+}
+
+
+def test_each_cap_flag_is_taken_only_where_it_is_read(tmp_path, capsys):
+    ap = build_parser()
+    taken = 0
+    for command, (argv, caps) in SUBCOMMANDS.items():
+        for cap in ("arcs", "breakpoints", "orbits"):
+            flag = [f"--cap-{cap}", "7"]
+            if cap in caps:
+                assert getattr(ap.parse_args([command, *argv, *flag]), f"cap_{cap}") == 7
+                taken += 1
+                continue
+            with pytest.raises(SystemExit):
+                ap.parse_args([command, *argv, *flag])
+            assert f"unrecognized arguments: --cap-{cap} 7" in capsys.readouterr().err
+    assert taken == 6
 
 
 def test_breakpoint_cap_failure_reports_the_terms_computed(tmp_path):

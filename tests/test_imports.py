@@ -4,6 +4,7 @@ the package is used somewhere.  No linter ships with the toolchain, so
 these are stdlib ``ast`` checks."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -118,3 +119,16 @@ def test_dead_helper_checker_sees_unread_and_self_only_names():
 def test_every_private_helper_is_used():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_private_helpers(sources) == []
+
+
+def test_plmap_docstring_names_exactly_the_helpers_other_modules_import():
+    """The plmap docstring lists the private helpers that the rest of the
+    package shares; none may be missing from it or named there in vain."""
+    plmap = ast.parse((SRC / "plmap.py").read_text())
+    named = set(re.findall(r"`(_[a-z]\w*)`", ast.get_docstring(plmap)))
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "plmap":
+                imported |= {alias.name for alias in node.names if _is_private(alias.name)}
+    assert named == imported

@@ -14,6 +14,8 @@ from plent.plmap import (
     UNIT,
     _on_curve,
     _on_lattice,
+    _pieces,
+    _sweep,
     compose,
     constant_map,
     constant_slope,
@@ -300,3 +302,68 @@ def test_on_lattice_raises_on_a_remainder_instead_of_rounding():
     assert _on_lattice(F(1, 3), 6) == 2
     with pytest.raises(ArithmeticError):
         _on_lattice(F(1, 3), 4)  # 1/3 is not on the lattice 1/4
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+    st.integers(-20, 20),
+    st.booleans(),
+    st.lists(st.integers(0, 10**6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_sweep_of_pieces_equals_fraction_evaluation(steps, rises, v0, backwards, picks):
+    # a curve through integer points whose rise per unit of z is an integer
+    # on each segment, rising or falling, given in either direction of z
+    zs, vs = [0], [v0]
+    for step, rise in zip(steps, rises):
+        zs.append(zs[-1] + step)
+        vs.append(vs[-1] + step * rise)
+    top, lo, span = zs[-1], min(vs), max(vs) - min(vs) + 1
+    m = PLMap([(F(z, top), F(v - lo, span)) for z, v in zip(zs, vs)])
+    # every breakpoint, and lattice points between them
+    points = sorted({*zs, *(p % (top + 1) for p in picks)})
+    if backwards:
+        zs, vs = zs[::-1], vs[::-1]
+    got = _sweep(*_pieces(zs, vs), points)
+    assert [F(v - lo, span) for v in got] == [m(F(z, top)) for z in points]
+
+
+def test_pieces_raise_on_a_rise_per_unit_that_is_not_an_integer():
+    assert _pieces([3, 0], [2, 8]) == ([0, 3], [(8, -2)])
+    with pytest.raises(ArithmeticError, match="^value is off the integer lattice$"):
+        _pieces([0, 3, 5], [0, 6, 7])  # the second segment rises 1/2 per unit
+
+
+def _one_factor_too_coarse(monkeypatch):
+    """Make `_lattice_for` drop a factor 3 wherever the lattice it returns
+    still holds the one it was asked to extend (its first argument)."""
+    import plent.plmap
+
+    real = plent.plmap._lattice_for
+
+    def coarse(d, shared, slopes):
+        n = real(d, shared, slopes)
+        return n // 3 if n % 3 == 0 and n // 3 % d == 0 else n
+
+    monkeypatch.setattr(plent.plmap, "_lattice_for", coarse)
+
+
+# slope 2/3 on [0, 3/4]: its values at the quarters are on 1/6, but its
+# breakpoints are on (1/4, 1/2), so only the per-segment check sees the 3
+THIRDS = PLMap([(0, 0), (F(3, 4), F(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: _on_curve(THIRDS, 4, [0, 1, 2, 3]),
+        lambda: compose(THIRDS, PLMap([(0, 0), (1, F(1, 4))])),
+    ],
+    ids=["on_curve", "compose"],
+)
+def test_lattice_one_factor_too_coarse_raises(monkeypatch, evaluate):
+    assert evaluate() in ((6, [0, 1, 2, 3]), PLMap([(0, 0), (1, F(1, 6))]))
+    _one_factor_too_coarse(monkeypatch)
+    with pytest.raises(ArithmeticError, match="^value is off the integer lattice$"):
+        evaluate()
