@@ -6,19 +6,18 @@ level-1 arc through a level-k arc wherever range and domain overlap with
 nonempty interior.  Arcs are deduplicated by canonical form (as point
 sets) before counting, so the family size is a geometric invariant.
 
-Every family is held as integer breakpoints over one least common
-denominator per axis and chained in integer arithmetic, whatever the
-number of breakpoints of its arcs.  Families are counts-only: a family
-keeps its arc keys and nothing else, and `branch_counts` holds two levels
-at a time.  `chain` composes two arcs in `Fraction`s, independently of
-the kernel, as its test reference.
+Every family is held in the integer form of a relation (`_Lattice`) and
+chained in integer arithmetic, whatever the number of breakpoints of its
+arcs.  Families are counts-only: a family keeps its arc keys and nothing
+else, and `branch_counts` holds two levels at a time.  `chain` composes
+two arcs in `Fraction`s, independently of the kernel, as its test reference.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import InvalidFamilyError, ResourceError
 from .plmap import (
@@ -28,26 +27,12 @@ from .plmap import (
     _lattice_for,
     _merge_collinear,
     _pieces,
-    _scaled,
     _slopes,
     _sweep,
 )
-from .relation import INC, DEC, MonotoneArc, _compose_strict, param_graph
+from .relation import INC, DEC, MonotoneArc, _compose_strict, _Lattice, param_graph
 
-
-class _Lattice(NamedTuple):
-    """Strict PL arcs as integer breakpoints over one denominator per axis.
-
-    Arc n has the breakpoints (x_i/dx, y_i/dy), where keys[n] is the flat
-    tuple (x_0, ..., x_{m-1}, y_0, ..., y_{m-1}) with x increasing and no
-    three consecutive points collinear.  dx and dy are the least common
-    denominators of the family's x- and y-coordinates, so the keys are
-    canonical: two arcs are equal as point sets exactly when their keys are.
-    """
-
-    dx: int
-    dy: int
-    keys: list[tuple[int, ...]]
+CAP_ARCS = 10**6  # the CLI's default cap on arcs per family; the library has none
 
 
 class BranchFamily:
@@ -63,7 +48,7 @@ class BranchFamily:
 
 
 def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
-    """Level-1 family: the monotone arcs of {(f(t), g(t))}.
+    """Level-1 family: the monotone arcs of {(f(t), g(t))}, from its integer form.
 
     Only strict arcs are representable as branches, so maps producing
     plateaus or verticals in the curve are rejected.  A point arc (a joint
@@ -74,19 +59,14 @@ def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
     """
     if f.range != UNIT or g.range != UNIT:
         raise InvalidFamilyError("branch families need onto maps of [0,1]")
-    pts = []
-    for arc in param_graph(f, g).arcs:
-        if arc.is_point():
-            continue
-        if arc.kind not in (INC, DEC):
-            raise InvalidFamilyError(
-                "parameterized curve has a flat or vertical arc; "
-                "no branch family exists"
-            )
-        pts.append(arc.homeo.breakpoints)
-    dx, xs = _scaled(*([x for x, _ in p] for p in pts))
-    dy, ys = _scaled(*([y for _, y in p] for p in pts))
-    return BranchFamily(1, _Lattice(dx, dy, [tuple(kx + ky) for kx, ky in zip(xs, ys)]))
+    rel = param_graph(f, g)
+    if any(arc.kind not in (INC, DEC) and not arc.is_point() for arc in rel.arcs):
+        raise InvalidFamilyError(
+            "parameterized curve has a flat or vertical arc; no branch family exists"
+        )
+    lat = rel._lattice
+    keys = [key for arc, key in zip(rel.arcs, lat.keys) if not arc.is_point()]
+    return _reduced(keys, lat.dx, lat.dy, 1)
 
 
 def chain(a: MonotoneArc, b: MonotoneArc) -> Optional[MonotoneArc]:

@@ -19,8 +19,9 @@ from typing import NamedTuple
 
 from . import serialize
 from .blocks import appendix_system, level_report
-from .branch import BranchFamily, branch_counts
+from .branch import CAP_ARCS, BranchFamily, branch_counts
 from .entropy import (
+    CAP_ORBITS,
     OrbitSet,
     bracket_theorem_main,
     entropy_estimate,
@@ -30,7 +31,7 @@ from .entropy import (
 from .errors import ParseError
 from .families import parse_family, tent
 from .invlim import DiagonalSystem, check_diagonal_compat, entropy_estimate_diagonal
-from .plmap import LapGrowth, PLMap, entropy_lap_growth
+from .plmap import CAP_BREAKPOINTS, LapGrowth, PLMap, entropy_lap_growth
 from .relation import (
     PLRelation,
     compose_rel,
@@ -104,10 +105,8 @@ def _build_relation(args) -> PLRelation:
         rel = graph_of(f)
     elif args.mode == "param":
         rel = param_graph(f, args.g.map)
-    elif args.mode == "invcomp":
+    else:  # invcomp; argparse checks --mode against its choices
         rel = compose_rel(inverse_rel(graph_of(f)), graph_of(args.g.map))
-    else:
-        raise ValueError(f"unknown relation mode {args.mode!r}")
     if args.power > 1:
         rel = rel_power(rel, args.power)
     return rel
@@ -269,9 +268,9 @@ def cmd_appendix(args) -> int:
 
 
 CAPS = {
-    "breakpoints": (10**6, "breakpoints per composed map"),
-    "orbits": (200_000, "orbits enumerated"),
-    "arcs": (10**6, "arcs per branch family; a family costs about 280 bytes per arc at its peak"),
+    "breakpoints": (CAP_BREAKPOINTS, "breakpoints per composed map"),
+    "orbits": (CAP_ORBITS, "orbits enumerated"),
+    "arcs": (CAP_ARCS, "arcs per branch family; a family costs about 280 bytes per arc at its peak"),
 }
 
 

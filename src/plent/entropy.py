@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from .branch import branch_counts
 from .errors import CertificationError, CompositionError, ResourceError
 from .plmap import (
-    Interval, _lattice_for, _on_lattice, _pieces, _scaled, _slopes, _sweep, as_rat, compose
+    Interval, _exact, _lattice_for, _on_lattice, _pieces, _scaled, _slopes, _sweep, as_rat, compose
 )
 from .relation import (
     DEC,
@@ -35,6 +35,9 @@ from .relation import (
 
 # ---------------------------------------------------------------------------
 # orbit enumeration
+
+
+CAP_ORBITS = 200_000  # the default cap on orbits per length
 
 
 class OrbitSet(NamedTuple):
@@ -98,7 +101,7 @@ def _orbit_levels(
 
 
 def enumerate_orbits(
-    rel: PLRelation, n: int, grid: Fraction, cap_orbits: int = 200_000
+    rel: PLRelation, n: int, grid: Fraction, cap_orbits: int = CAP_ORBITS
 ) -> OrbitSet:
     """All length-n orbits of the relation starting on the grid (n >= 1),
     the last level of the orbit extension that `entropy_estimate` counts.
@@ -304,7 +307,7 @@ def entropy_estimate(
     eps_schedule: Sequence[Fraction],
     n_max: int,
     grid: Fraction,
-    cap_orbits: int = 200_000,
+    cap_orbits: int = CAP_ORBITS,
 ) -> list[EstimateRow]:
     """Orbit-growth entropy table: one row per (n, eps), with the
     separated-count estimate (1/n) log s and the spanning count alongside.
@@ -350,19 +353,16 @@ class HorseshoeCert(NamedTuple):
 
 def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> tuple[int, int]:
     """The two lattices of the check, (D, Dx).  Dx is the lcm of the
-    x-denominators: interval endpoints, breakpoints and vertical arcs.  D is
-    a multiple of Dx and of every y-denominator on which every arc
+    relation's x-lattice and the interval endpoints' denominators.  D is a
+    multiple of Dx and of the relation's y-lattice on which every arc
     segment's slope maps the x-lattice 1/Dx to integers.  So a segment's
     rise per 1/Dx step is an integer on 1/D, and so is its value at any
     x-lattice point."""
-    vers = [arc for arc in rel.arcs if arc.kind == VER]
-    curves = [arc.homeo.breakpoints for arc in rel.arcs if arc.kind != VER]
-    lone_xs = [v for iv in ivs for v in (iv.lo, iv.hi)] + [arc.x for arc in vers]
-    lone_ys = [v for arc in vers for v in (arc.ys.lo, arc.ys.hi)]
-    dx, (_, *xs) = _scaled(lone_xs, *([x for x, _ in bps] for bps in curves))
-    dy, (_, *ys) = _scaled(lone_ys, *([y for _, y in bps] for bps in curves))
-    slopes = (s for cx, cy in zip(xs, ys) for s in _slopes(cx, cy, dx, dy))
-    return _lattice_for(math.lcm(dx, dy), dx, slopes), dx
+    rx, ry, keys = rel._lattice
+    dx = math.lcm(rx, *(v.denominator for iv in ivs for v in iv))
+    curves = (k for arc, k in zip(rel.arcs, keys) if arc.kind != VER)
+    slopes = (s for k in curves for s in _slopes(k[: len(k) // 2], k[len(k) // 2 :], rx, ry))
+    return _lattice_for(math.lcm(dx, ry), dx, slopes), dx
 
 
 def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
@@ -370,11 +370,12 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     interval's image under the relation covers their union.
 
     The check runs in integer arithmetic on two lattices (see `_lattice`):
-    x-coordinates on 1/Dx, y-coordinates and targets on 1/D.  Each arc that
-    meets a source is put in `_pieces` form, which checks once per segment
-    that it rises by an integer per 1/Dx step (a remainder raises
-    ArithmeticError, nothing is rounded), and `_sweep` reads its values at
-    the source endpoints, clipped to its domain, one multiply-add each.
+    x-coordinates on 1/Dx, y-coordinates and targets on 1/D.  The arcs are
+    the relation's integer form scaled up; only the interval endpoints are
+    converted.  Each arc that meets a source is put in `_pieces` form, which
+    checks once per segment that it rises by an integer per 1/Dx step (a
+    remainder raises ArithmeticError, nothing is rounded), and `_sweep`
+    reads its values at the source endpoints, clipped to its domain.
     """
     ivs = sorted(intervals, key=lambda iv: iv.lo)
     if len(ivs) < 2 or any(iv.is_point() for iv in ivs):
@@ -389,19 +390,20 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     up = d // dx
     los, his = [v * up for v in xlos], [v * up for v in xhis]
     n = len(ivs)
+    mx, my = dx // rel._lattice.dx, _exact(d, rel._lattice.dy)
     # bucket each arc's image by the source intervals its domain meets;
     # one pass over the arcs instead of one per source interval
     images: list[list[tuple[int, int]]] = [[] for _ in ivs]
-    for arc in rel.arcs:
+    for arc, key in zip(rel.arcs, rel._lattice.keys):
         if arc.kind == VER:
-            x = _on_lattice(arc.x, dx)
+            x = key[0] * mx
             i = bisect_right(xlos, x) - 1
             if i >= 0 and x <= xhis[i]:
-                images[i].append((_on_lattice(arc.ys.lo, d), _on_lattice(arc.ys.hi, d)))
+                images[i].append((key[2] * my, key[3] * my))
             continue
-        bps = arc.homeo.breakpoints
-        xs = [_on_lattice(x, dx) for x, _ in bps]
-        ys = [_on_lattice(y, d) for _, y in bps]
+        m = len(key) // 2
+        xs = [x * mx for x in key[:m]]
+        ys = [y * my for y in key[m:]]
         # the sources meeting [xs[0], xs[-1]] are i..j-1; their endpoints,
         # clipped to it, in increasing order
         i = bisect_left(xhis, xs[0])
@@ -467,18 +469,24 @@ def _subdivision_patterns(j: Interval, n: int):
                 )
 
 
-def _crossings(rel: PLRelation, pts: list[Fraction]) -> dict[tuple[int, int], int]:
+def _crossings(rel: PLRelation, pts: list[int]) -> dict[tuple[int, int], int]:
     """The lap crossings of each base T = [pts[i], pts[j]], i < j, that an
     arc crosses, keyed (i, j): the largest number of pairwise disjoint
     preimages arc^-1(T) & T over the inc/dec arcs whose image over T covers
     T; preimages that only touch count as disjoint, as the laps of a tent
     do.  Such an arc takes both ends of T at points of T, so only inverses
     are evaluated: in one sweep per arc over the points in its range.  The
-    points and breakpoints lie on one lattice 1/d, and the inverses' values
-    on 1/(d*m), on which every inverse slope maps 1/d to integers."""
-    curves = [arc.homeo.breakpoints for arc in rel.arcs if arc.kind in (INC, DEC)]
-    d, (ps, *cs) = _scaled(pts, *([v for bp in bps for v in bp] for bps in curves))
-    inverses = [(c[1::2], c[0::2]) for c in cs]  # (ys, xs) of each arc
+    points, increasing integers on the relation's x-lattice, and its arcs go
+    on one lattice 1/d, and the inverses' values on 1/(d*m), on which every
+    inverse slope maps 1/d to integers."""
+    rx, ry, keys = rel._lattice
+    d = math.lcm(rx, ry)
+    ps = [p * (d // rx) for p in pts]
+    inverses = [  # (ys, xs) of each arc
+        ([y * (d // ry) for y in k[len(k) // 2 :]], [x * (d // rx) for x in k[: len(k) // 2]])
+        for arc, k in zip(rel.arcs, keys)
+        if arc.kind in (INC, DEC)
+    ]
     m = _lattice_for(d, d, (s for ys, xs in inverses for s in _slopes(ys, xs, d, d))) // d
     pms = [p * m for p in ps]  # the points on 1/(d*m), to compare values with
     spans: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -509,19 +517,13 @@ def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
     """Base intervals for the pattern search: the hull of the structural
     points, then every other pair of them (at most 42 points), those whose
     strict arcs cross them most often first (`_crossings`), ties longest
-    first.  The hull comes from each arc's first and last x; the sorted
-    points, the pairs and their crossings are only computed if the search
-    gets past the hull."""
-    firsts = [arc.x if arc.kind == VER else arc.homeo.breakpoints[0][0] for arc in rel.arcs]
-    lasts = [arc.x if arc.kind == VER else arc.homeo.breakpoints[-1][0] for arc in rel.arcs]
-    yield Interval(min(firsts), max(lasts))
-    points = set()
-    for arc in rel.arcs:
-        if arc.kind == VER:
-            points.add(arc.x)
-        else:
-            points.update(x for x, _ in arc.homeo.breakpoints)
-    pts = sorted(points)
+    first, all read from the relation's integer form.  The hull comes from
+    each arc's first and last x; the sorted points, the pairs and their
+    crossings are only computed if the search gets past the hull."""
+    dx, _, keys = rel._lattice
+    lo, hi = min(key[0] for key in keys), max(key[len(key) // 2 - 1] for key in keys)
+    yield Interval(Fraction(lo, dx), Fraction(hi, dx))
+    pts = sorted({x for key in keys for x in key[: len(key) // 2]})
     last = len(pts) - 1
     if len(pts) <= 42:
         crossings = _crossings(rel, pts)
@@ -529,7 +531,8 @@ def _base_intervals(rel: PLRelation) -> Iterator[Interval]:
             combinations(range(len(pts)), 2),
             key=lambda ij: (-crossings.get(ij, 0), pts[ij[0]] - pts[ij[1]]),
         )
-        yield from (Interval(pts[i], pts[j]) for i, j in pairs if (i, j) != (0, last))
+        qs = [Fraction(p, dx) for p in pts]
+        yield from (Interval(qs[i], qs[j]) for i, j in pairs if (i, j) != (0, last))
 
 
 def find_horseshoe(rel: PLRelation, n: int) -> Optional[HorseshoeCert]:

@@ -2,7 +2,8 @@
 
 Every constructor returns an exact, canonical PLMap.  Constructors with a
 defining identity check it at build time and raise ConstructionError on
-failure, so a wrong table of breakpoints cannot propagate silently.
+failure, so a wrong table of breakpoints cannot propagate silently.  A
+family sized by its parameter refuses a map over `CAP_BREAKPOINTS` breakpoints.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Sequence
 
 from .errors import ConstructionError, ParseError
 from .plmap import (
+    CAP_BREAKPOINTS,
     Interval,
     PLMap,
     RatLike,
@@ -24,8 +26,8 @@ from .plmap import (
 
 def tent(n: int) -> PLMap:
     """The n-fold tent map: n laps of slope +-n, alternating 0 and 1."""
-    if n < 1:
-        raise ValueError("tent requires n >= 1")
+    if not 1 <= n < CAP_BREAKPOINTS:
+        raise ValueError(f"tent requires 1 <= n < {CAP_BREAKPOINTS}")
     return PLMap([(Fraction(i, n), Fraction(i % 2)) for i in range(n + 1)])
 
 
@@ -45,8 +47,8 @@ def shifted_fold(p: int) -> PLMap:
 
 def fold_partner(p: int) -> PLMap:
     """The companion map G_p with S_p o G_p = T_p; G_3 is the identity."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError("fold_partner requires odd p >= 3")
+    if not 3 <= p < CAP_BREAKPOINTS or p % 2 == 0:
+        raise ValueError(f"fold_partner requires odd p, 3 <= p < {CAP_BREAKPOINTS}")
     pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
     pts.append((Fraction(2, p), Fraction(p - 1, p)))
     for j in range(3, p):
@@ -109,8 +111,8 @@ def slope_map(s: RatLike) -> PLMap:
     equals s; its entropy is therefore exactly max(0, log s).
     """
     s = as_rat(s)
-    if s < 1:
-        raise ValueError("slope_map requires s >= 1")
+    if not 1 <= s <= CAP_BREAKPOINTS - 1:  # 2 + 2*ceil((s-1)/2) breakpoints
+        raise ValueError(f"slope_map requires 1 <= s <= {CAP_BREAKPOINTS - 1}")
     if s == 1:
         return identity_map()
     # net rise 1, total variation s: the folds contribute (s-1)/2 each way

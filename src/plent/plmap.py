@@ -32,6 +32,7 @@ RatLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+CAP_BREAKPOINTS = 10**6  # the default cap on breakpoints per map
 
 
 def as_rat(value: RatLike) -> Fraction:
@@ -473,7 +474,7 @@ def constant_slope(f: PLMap) -> Optional[Fraction]:
 
 
 def entropy_lap_growth(
-    f: PLMap, n_max: int, cap_breakpoints: int = 10**6
+    f: PLMap, n_max: int, cap_breakpoints: int = CAP_BREAKPOINTS
 ) -> LapGrowth:
     """Entropy estimates from the growth rate of lap counts.
 

@@ -12,7 +12,9 @@ An arc is one of:
 
 Two relations are equal when they are equal as subsets of the unit
 square; ``rel_equals`` compares canonical segment decompositions, so the
-particular arc decomposition does not matter.
+particular arc decomposition does not matter.  A relation puts its arcs
+on integers once, when it is built (`_Lattice`); the arc sort, the level-1
+branch family and the horseshoe kernels all read that one integer form.
 """
 
 from __future__ import annotations
@@ -150,13 +152,19 @@ class MonotoneArc(_MonotoneArc):
         return Interval(min(a, b), max(a, b))
 
 
-def _ends(arc: MonotoneArc) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The first and last points of the arc, x increasing: (x0, x1, y0, y1).
-    A monotone arc attains its range at its ends."""
-    if arc.kind == VER:
-        return arc.x, arc.x, arc.ys.lo, arc.ys.hi
-    (x0, y0), (x1, y1) = arc.homeo.breakpoints[0], arc.homeo.breakpoints[-1]
-    return x0, x1, y0, y1
+class _Lattice(NamedTuple):
+    """PL arcs as integer breakpoints over one denominator per axis.
+
+    Arc n has the breakpoints (x_i/dx, y_i/dy), where keys[n] is the flat
+    tuple (x_0, ..., x_{m-1}, y_0, ..., y_{m-1}) with x increasing and no
+    three consecutive points collinear; a vertical arc or a point is
+    (x, x, lo, hi).  dx and dy are the least common denominators of the
+    arcs' x's and y's, so two arcs are equal exactly when their keys are.
+    """
+
+    dx: int
+    dy: int
+    keys: list[tuple[int, ...]]
 
 
 def _without_covered_points(arcs) -> list[MonotoneArc]:
@@ -173,7 +181,7 @@ def _without_covered_points(arcs) -> list[MonotoneArc]:
 class PLRelation:
     """Finite union of monotone arcs, with set-level equality semantics."""
 
-    __slots__ = ("arcs", "_canon")
+    __slots__ = ("arcs", "_lattice", "_canon")
 
     def __init__(self, arcs: Iterable[MonotoneArc]):
         seen = {}
@@ -181,16 +189,19 @@ class PLRelation:
             seen.setdefault(arc.key(), arc)
         if not seen:
             raise ValueError("a relation needs at least one arc")
-        # sorted by (dom.lo, dom.hi, ran.lo, ran.hi, kind), compared as ints
-        # over one common denominator
         unique = list(seen.values())
-        _, (x0s, x1s, y0s, y1s) = _scaled(*zip(*map(_ends, unique)))
-        keys = [
-            (x0, x1, min(y0, y1), max(y0, y1), arc.kind)
-            for x0, x1, y0, y1, arc in zip(x0s, x1s, y0s, y1s, unique)
+        cols = [  # each arc's x's and y's
+            ((a.x, a.x), a.ys) if a.kind == VER else tuple(zip(*a.homeo.breakpoints))
+            for a in unique
         ]
-        order = sorted(range(len(unique)), key=keys.__getitem__)
+        dx, xs = _scaled(*(x for x, _ in cols))
+        dy, ys = _scaled(*(y for _, y in cols))
+        # sorted by (dom.lo, dom.hi, ran.lo, ran.hi, kind); a monotone arc
+        # attains its range at its ends
+        ends = [(x[0], x[-1], *sorted((y[0], y[-1])), a.kind) for x, y, a in zip(xs, ys, unique)]
+        order = sorted(range(len(unique)), key=ends.__getitem__)
         object.__setattr__(self, "arcs", tuple(unique[i] for i in order))
+        object.__setattr__(self, "_lattice", _Lattice(dx, dy, [(*xs[i], *ys[i]) for i in order]))
         object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, *a):

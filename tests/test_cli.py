@@ -246,7 +246,20 @@ def test_failures_produce_report_and_exit_two(tmp_path):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("which", ["--f", "--g"])
-@pytest.mark.parametrize("spec", ["tent:x", "mystery:3", "tent:0", "sfold:4", "affine:1/2"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "tent:x",
+        "mystery:3",
+        "tent:0",
+        "sfold:4",
+        "affine:1/2",
+        # over the default breakpoint cap: refused before anything is built
+        "tent:1000000000",
+        "gfold:1000000001",
+        "slope:1000000000",
+    ],
+)
 def test_a_map_spec_that_does_not_parse_is_a_usage_error(tmp_path, spec, which, source, capsys):
     maps = {"--f": "tent:2", "--g": "tent:3", which: spec}
     if source == "flag":

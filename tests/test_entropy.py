@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from plent.blocks import level_report, unit_copy
 from plent.errors import CertificationError, ResourceError
-from plent.plmap import Interval, PLMap, compose, iterate, merge_intervals
+from plent.plmap import Interval, PLMap, _on_lattice, compose, iterate, merge_intervals
 from plent.families import appendix_pair, block_interval, plateau_map, slope_map, tent
 from plent.relation import (
     MonotoneArc,
@@ -542,6 +542,39 @@ def test_lattice_verify_raises_on_a_lattice_one_factor_too_coarse(monkeypatch, p
         verify_horseshoe(rel, pattern)
 
 
+def test_verify_converts_only_the_interval_endpoints(monkeypatch):
+    import plent.entropy
+    import plent.plmap
+
+    # built before the count starts; the second has vertical arcs
+    rels = [
+        param_graph(iterate(tent(2), 2), iterate(tent(3), 2)),
+        param_graph(plateau_map(), tent(3)),
+    ]
+    cases = [
+        (rel, pattern)
+        for rel in rels
+        for base in islice(_base_intervals(rel), 6)
+        for n in (2, 3)
+        for pattern in _subdivision_patterns(base, n)
+    ]
+    calls = []
+    real = plent.plmap._on_lattice
+
+    def counting(q, d):
+        calls.append(q)
+        return real(q, d)
+
+    monkeypatch.setattr(plent.plmap, "_on_lattice", counting)
+    monkeypatch.setattr(plent.entropy, "_on_lattice", counting)
+    outcomes = set()
+    for rel, pattern in cases:
+        calls.clear()
+        outcomes.add(verify_horseshoe(rel, pattern))
+        assert len(calls) <= 2 * len(pattern)
+    assert outcomes == {True, False}
+
+
 def _cursor_case(rng):
     """(relation, patterns, straight arc, bent arc).  The arcs sweep many
     sources each: one long straight arc over all n sources, so all 2n
@@ -671,7 +704,8 @@ def test_base_intervals_are_the_hull_then_the_pairs_by_crossings():
 
 def _point_set_base_intervals(rel):
     """The base order built from the sorted set of structural points: its
-    hull, then the other pairs ranked by `_crossings`, ties longest first."""
+    hull, then the other pairs ranked by `_crossings`, which takes the
+    points on the relation's x-lattice, ties longest first."""
     points = set()
     for arc in rel.arcs:
         if arc.kind == "ver":
@@ -681,7 +715,7 @@ def _point_set_base_intervals(rel):
     pts = sorted(points)
     yield Interval(pts[0], pts[-1])
     if len(pts) <= 42:
-        crossings = _crossings(rel, pts)
+        crossings = _crossings(rel, [_on_lattice(p, rel._lattice.dx) for p in pts])
         pairs = sorted(
             (ij for ij in combinations(range(len(pts)), 2) if ij != (0, len(pts) - 1)),
             key=lambda ij: (-crossings.get(ij, 0), pts[ij[0]] - pts[ij[1]]),

@@ -1,11 +1,12 @@
 """Built-in map families and their exact algebraic identities."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from plent.errors import ConstructionError, ParseError
-from plent.plmap import compose, identity_map, map_equals, constant_slope
+from plent.plmap import CAP_BREAKPOINTS, compose, identity_map, map_equals, constant_slope
 from plent.relation import (
     compose_rel,
     diagonal,
@@ -81,6 +82,30 @@ def test_affine():
 def test_slope_map_has_constant_absolute_slope():
     for s in (F(3, 2), F(2), F(3)):
         assert constant_slope(slope_map(s)) == s
+
+
+def test_sized_families_have_the_breakpoints_their_size_bound_counts():
+    for n in (1, 2, 7):
+        assert len(tent(n).breakpoints) == n + 1
+    for p in (5, 7, 11):
+        assert len(fold_partner(p).breakpoints) == p
+    for s in (F(3, 2), 2, F(5, 2), 3, 7, F(101, 3)):
+        assert len(slope_map(s).breakpoints) == 2 + 2 * math.ceil((F(s) - 1) / 2)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (tent, CAP_BREAKPOINTS),
+        (fold_partner, CAP_BREAKPOINTS + 1),
+        (slope_map, CAP_BREAKPOINTS - F(1, 2)),
+    ],
+    ids=["tent", "fold_partner", "slope_map"],
+)
+def test_a_family_one_past_the_breakpoint_cap_is_refused_unbuilt(build, size):
+    # each would have CAP_BREAKPOINTS + 1 or + 2 breakpoints
+    with pytest.raises(ValueError, match="requires"):
+        build(size)
 
 
 def test_block_rescale_lands_in_its_block():

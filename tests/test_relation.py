@@ -1,6 +1,7 @@
 """Planar relations built from monotone arcs: graphs, inverses,
 compositions, and strong commutation."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -112,6 +113,34 @@ def test_arc_order_is_the_fraction_key_order():
             seen.values(), key=lambda a: (a.dom.lo, a.dom.hi, a.ran.lo, a.ran.hi, a.kind)
         )
         assert [id(a) for a in PLRelation(arcs).arcs] == [id(a) for a in want]
+
+
+def _arc_points(arc):
+    if arc.kind == VER:
+        return [(arc.x, arc.ys.lo), (arc.x, arc.ys.hi)]
+    return list(arc.homeo.breakpoints)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_integer_form_holds_every_arc_exactly_on_the_least_lattice(rng, size):
+    arcs = [_random_arc(rng) for _ in range(size)]
+    rel = PLRelation(arcs)
+    dx, dy, keys = rel._lattice
+    points = [_arc_points(arc) for arc in rel.arcs]
+    assert dx == math.lcm(*(x.denominator for pts in points for x, _ in pts))
+    assert dy == math.lcm(*(y.denominator for pts in points for _, y in pts))
+    assert len(keys) == len(rel.arcs)
+    for key, pts in zip(keys, points):
+        assert all(isinstance(v, int) for v in key)
+        m = len(key) // 2
+        assert [(F(x, dx), F(y, dy)) for x, y in zip(key[:m], key[m:])] == pts
+    # in the order of the Fraction sort key, ties by first appearance
+    seen = {}
+    for arc in arcs:
+        seen.setdefault(arc.key(), arc)
+    want = sorted(seen.values(), key=lambda a: (a.dom.lo, a.dom.hi, a.ran.lo, a.ran.hi, a.kind))
+    assert [id(a) for a in rel.arcs] == [id(a) for a in want]
 
 
 # -- inverse and composition -----------------------------------------------------
