@@ -30,7 +30,17 @@ from .plmap import (
     _slopes,
     _sweep,
 )
-from .relation import INC, DEC, MonotoneArc, _compose_strict, _Lattice, param_graph
+from .relation import (
+    INC,
+    DEC,
+    MonotoneArc,
+    _compose_strict,
+    _divided,
+    _is_point,
+    _kind,
+    _Lattice,
+    param_graph,
+)
 
 CAP_ARCS = 10**6  # the CLI's default cap on arcs per family; the library has none
 
@@ -59,13 +69,12 @@ def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
     """
     if f.range != UNIT or g.range != UNIT:
         raise InvalidFamilyError("branch families need onto maps of [0,1]")
-    rel = param_graph(f, g)
-    if any(arc.kind not in (INC, DEC) and not arc.is_point() for arc in rel.arcs):
+    lat = param_graph(f, g)._lattice
+    keys = [key for key in lat.keys if not _is_point(key)]
+    if any(_kind(key) not in (INC, DEC) for key in keys):
         raise InvalidFamilyError(
             "parameterized curve has a flat or vertical arc; no branch family exists"
         )
-    lat = rel._lattice
-    keys = [key for arc, key in zip(rel.arcs, lat.keys) if not arc.is_point()]
     return _reduced(keys, lat.dx, lat.dy, 1)
 
 
@@ -94,18 +103,7 @@ def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
 def _reduced(out: list, nx: int, ny: int, level: int) -> BranchFamily:
     """The family of the keys in `out` over nx, ny, divided down to the
     least common denominators."""
-    gx, gy = nx, ny
-    for key in out:
-        if gx == 1 and gy == 1:
-            break
-        m = len(key) // 2
-        gx, gy = math.gcd(gx, *key[:m]), math.gcd(gy, *key[m:])
-    if gx != 1 or gy != 1:
-        out = [
-            tuple(v // gx for v in key[: len(key) // 2]) + tuple(v // gy for v in key[len(key) // 2 :])
-            for key in out
-        ]
-    return BranchFamily(level, _Lattice(nx // gx, ny // gy, out))
+    return BranchFamily(level, _divided(out, nx, ny))
 
 
 def _over_cap(out: list, nx: int, ny: int, level: int, cap_arcs: int) -> ResourceError:

@@ -27,6 +27,7 @@ from .relation import (
     INC,
     VER,
     PLRelation,
+    _kind,
     fiber_intervals,
     param_graph,
     strongly_commutes,
@@ -360,7 +361,7 @@ def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> tuple[int, int]:
     x-lattice point."""
     rx, ry, keys = rel._lattice
     dx = math.lcm(rx, *(v.denominator for iv in ivs for v in iv))
-    curves = (k for arc, k in zip(rel.arcs, keys) if arc.kind != VER)
+    curves = (k for k in keys if _kind(k) != VER)
     slopes = (s for k in curves for s in _slopes(k[: len(k) // 2], k[len(k) // 2 :], rx, ry))
     return _lattice_for(math.lcm(dx, ry), dx, slopes), dx
 
@@ -394,8 +395,9 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     # bucket each arc's image by the source intervals its domain meets;
     # one pass over the arcs instead of one per source interval
     images: list[list[tuple[int, int]]] = [[] for _ in ivs]
-    for arc, key in zip(rel.arcs, rel._lattice.keys):
-        if arc.kind == VER:
+    for key in rel._lattice.keys:
+        kind = _kind(key)
+        if kind == VER:
             x = key[0] * mx
             i = bisect_right(xlos, x) - 1
             if i >= 0 and x <= xhis[i]:
@@ -415,7 +417,7 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
         pts[-1] = min(pts[-1], xs[-1])
         vals = _sweep(*_pieces(xs, ys), pts)
         # a monotone arc maps each source's (lo, hi) in order or reversed
-        pairs = zip(vals[1::2], vals[::2]) if arc.kind == DEC else zip(vals[::2], vals[1::2])
+        pairs = zip(vals[1::2], vals[::2]) if kind == DEC else zip(vals[::2], vals[1::2])
         for img, pair in zip(images[i:j], pairs):
             img.append(pair)
     # every target lies in at most one merged component, so the targets
@@ -440,12 +442,11 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
 
 def _subdivision_patterns(j: Interval, n: int):
     """Candidate n-interval patterns inside the base interval j."""
+    # odd pieces of a (2n-1)-fold equal subdivision, one Fraction per end
+    d, ((lo, hi),) = _scaled(j)
+    ends = [Fraction(lo * (2 * n - 1) + i * (hi - lo), d * (2 * n - 1)) for i in range(2 * n)]
+    yield tuple(Interval(ends[2 * i], ends[2 * i + 1]) for i in range(n))
     w = j.length
-    # odd pieces of a (2n-1)-fold equal subdivision
-    step = w / (2 * n - 1)
-    yield tuple(
-        Interval(j.lo + 2 * i * step, j.lo + (2 * i + 1) * step) for i in range(n)
-    )
     # n near-laps with shrinking margins; several scales, both orientations
     for scale in (1, 4, 16):
         alpha = w / (2 * n**2 * scale)
@@ -484,8 +485,8 @@ def _crossings(rel: PLRelation, pts: list[int]) -> dict[tuple[int, int], int]:
     ps = [p * (d // rx) for p in pts]
     inverses = [  # (ys, xs) of each arc
         ([y * (d // ry) for y in k[len(k) // 2 :]], [x * (d // rx) for x in k[: len(k) // 2]])
-        for arc, k in zip(rel.arcs, keys)
-        if arc.kind in (INC, DEC)
+        for k in keys
+        if _kind(k) in (INC, DEC)
     ]
     m = _lattice_for(d, d, (s for ys, xs in inverses for s in _slopes(ys, xs, d, d))) // d
     pms = [p * m for p in ps]  # the points on 1/(d*m), to compare values with

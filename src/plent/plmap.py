@@ -305,8 +305,9 @@ def _slopes(xs: Sequence[int], ys: Sequence[int], dx: int, dy: int) -> list[tupl
 
 def _lattice_for(d: int, shared: int, slopes) -> int:
     """The least multiple of d on which every slope num/den, taken from the
-    shared lattice 1/shared, maps integers to integers."""
-    return math.lcm(d, *(shared * den // math.gcd(num, shared * den) for num, den in slopes))
+    shared lattice 1/shared, maps integers to integers; each distinct
+    (num, den) pair is reduced once."""
+    return math.lcm(d, *(shared * den // math.gcd(num, shared * den) for num, den in set(slopes)))
 
 
 def _exact(num: int, den: int) -> int:

@@ -12,13 +12,16 @@ An arc is one of:
 
 Two relations are equal when they are equal as subsets of the unit
 square; ``rel_equals`` compares canonical segment decompositions, so the
-particular arc decomposition does not matter.  A relation puts its arcs
-on integers once, when it is built (`_Lattice`); the arc sort, the level-1
-branch family and the horseshoe kernels all read that one integer form.
+particular arc decomposition does not matter.  A relation's state is its
+integer form (`_Lattice`), which one builder makes from integer arc keys,
+those of `param_graph` or of given `MonotoneArc`s; an arc's kind is read
+from its key.  The level-1 branch family and the horseshoe kernels read
+only that form, and the `arcs` view is built from it on first access.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -167,6 +170,86 @@ class _Lattice(NamedTuple):
     keys: list[tuple[int, ...]]
 
 
+def _kind(key: tuple[int, ...]) -> str:
+    """The kind of the arc with this `_Lattice` key: vertical when its x's
+    are equal (a point when its y's are too), else by its first and last y."""
+    m = len(key) // 2
+    if key[0] == key[m - 1]:
+        return VER
+    if key[m] == key[-1]:
+        return HOR
+    return DEC if key[m] > key[-1] else INC
+
+
+def _is_point(key: tuple[int, ...]) -> bool:
+    return len(key) == 4 and key[0] == key[1] and key[2] == key[3]
+
+
+def _divided(keys: list, nx: int, ny: int) -> _Lattice:
+    """The keys over (nx, ny) divided down to the least common denominators."""
+    gx, gy = nx, ny
+    for key in keys:
+        if gx == 1 and gy == 1:
+            break
+        m = len(key) // 2
+        gx, gy = math.gcd(gx, *key[:m]), math.gcd(gy, *key[m:])
+    if gx != 1 or gy != 1:
+        keys = [
+            tuple([v // gx for v in key[: len(key) // 2]] + [v // gy for v in key[len(key) // 2 :]])
+            for key in keys
+        ]
+    return _Lattice(nx // gx, ny // gy, keys)
+
+
+def _relation_lattice(keys: list, nx: int, ny: int) -> tuple[_Lattice, list[int]]:
+    """A relation's integer form from arc keys over (nx, ny): deduplicated,
+    divided down (`_divided`) and sorted by (dom.lo, dom.hi, ran.lo,
+    ran.hi, kind), ties in order of first appearance.  Also the index in
+    `keys` of each arc kept, in that order."""
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    if not first:
+        raise ValueError("a relation needs at least one arc")
+    lat = _divided(list(first), nx, ny)
+
+    def sort_key(n):  # a monotone arc attains its range at its ends
+        key = lat.keys[n]
+        m = len(key) // 2
+        y0, y1 = key[m], key[-1]
+        return key[0], key[m - 1], min(y0, y1), max(y0, y1), _kind(key)
+
+    order = sorted(range(len(lat.keys)), key=sort_key)
+    index = list(first.values())
+    return lat._replace(keys=[lat.keys[n] for n in order]), [index[n] for n in order]
+
+
+def _arcs_of(lat: _Lattice) -> tuple[MonotoneArc, ...]:
+    """The arcs of an integer form, with one `Fraction` per distinct
+    coordinate, shared by every arc through it."""
+    xq = {x: Fraction(x, lat.dx) for x in {x for k in lat.keys for x in k[: len(k) // 2]}}
+    yq = {y: Fraction(y, lat.dy) for y in {y for k in lat.keys for y in k[len(k) // 2 :]}}
+    arcs = []
+    for key in lat.keys:
+        kind = _kind(key)
+        if kind == VER:
+            arcs.append(MonotoneArc.vertical(xq[key[0]], Interval(yq[key[2]], yq[key[3]])))
+        else:
+            m = len(key) // 2
+            pts = tuple(zip(map(xq.__getitem__, key[:m]), map(yq.__getitem__, key[m:])))
+            arcs.append(MonotoneArc._trusted(kind, PLMap._from_canonical(pts)))
+    return tuple(arcs)
+
+
+def _from_lattice(lat: _Lattice) -> "PLRelation":
+    """The relation of an integer form that `_relation_lattice` built."""
+    rel = PLRelation.__new__(PLRelation)
+    object.__setattr__(rel, "_lattice", lat)
+    object.__setattr__(rel, "_arcs", None)
+    object.__setattr__(rel, "_canon", None)
+    return rel
+
+
 def _without_covered_points(arcs) -> list[MonotoneArc]:
     """The arcs, less every point arc that lies on a non-point arc."""
     solid = [arc for arc in arcs if not arc.is_point()]
@@ -179,39 +262,44 @@ def _without_covered_points(arcs) -> list[MonotoneArc]:
 
 
 class PLRelation:
-    """Finite union of monotone arcs, with set-level equality semantics."""
+    """Finite union of monotone arcs, with set-level equality semantics.
 
-    __slots__ = ("arcs", "_lattice", "_canon")
+    Its state is its integer form (`_Lattice`); `arcs` is the view of it
+    as `MonotoneArc`s, the given ones when built from arcs, else built on
+    first access and then kept.
+    """
+
+    __slots__ = ("_lattice", "_arcs", "_canon")
 
     def __init__(self, arcs: Iterable[MonotoneArc]):
-        seen = {}
-        for arc in arcs:
-            seen.setdefault(arc.key(), arc)
-        if not seen:
-            raise ValueError("a relation needs at least one arc")
-        unique = list(seen.values())
+        arcs = list(arcs)
         cols = [  # each arc's x's and y's
             ((a.x, a.x), a.ys) if a.kind == VER else tuple(zip(*a.homeo.breakpoints))
-            for a in unique
+            for a in arcs
         ]
         dx, xs = _scaled(*(x for x, _ in cols))
         dy, ys = _scaled(*(y for _, y in cols))
-        # sorted by (dom.lo, dom.hi, ran.lo, ran.hi, kind); a monotone arc
-        # attains its range at its ends
-        ends = [(x[0], x[-1], *sorted((y[0], y[-1])), a.kind) for x, y, a in zip(xs, ys, unique)]
-        order = sorted(range(len(unique)), key=ends.__getitem__)
-        object.__setattr__(self, "arcs", tuple(unique[i] for i in order))
-        object.__setattr__(self, "_lattice", _Lattice(dx, dy, [(*xs[i], *ys[i]) for i in order]))
+        lat, index = _relation_lattice([(*x, *y) for x, y in zip(xs, ys)], dx, dy)
+        object.__setattr__(self, "_lattice", lat)
+        object.__setattr__(self, "_arcs", tuple(arcs[i] for i in index))
         object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PLRelation is immutable")
 
     def __reduce__(self):
-        return PLRelation, (self.arcs,)
+        return _from_lattice, (self._lattice,)
 
     def __repr__(self) -> str:
-        return f"PLRelation({len(self.arcs)} arcs)"
+        return f"PLRelation({len(self._lattice.keys)} arcs)"
+
+    @property
+    def arcs(self) -> tuple[MonotoneArc, ...]:
+        arcs = self._arcs
+        if arcs is None:
+            arcs = _arcs_of(self._lattice)
+            object.__setattr__(self, "_arcs", arcs)
+        return arcs
 
     def canonical_segments(self):
         """The relation as a canonical set of maximal straight segments.
@@ -270,7 +358,8 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
     its range; the arcs come out already split into monotone pieces.  Both
     maps are evaluated in integers at the union of their breakpoints, put
     on one lattice 1/d, and each piece between joint lap boundaries (where
-    the slope sign of f or g changes) becomes one arc through those points.
+    the slope sign of f or g changes) becomes the integer key of one arc
+    through those points.  No arc is built until `arcs` is read.
     """
     if f.domain != g.domain:
         raise CompositionError("parameterized graph needs maps with equal domains")
@@ -283,29 +372,24 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
         ((x1 > x0) - (x1 < x0), (y1 > y0) - (y1 < y0))
         for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
     ]
-    # one Fraction per distinct coordinate, shared by every arc through it
-    xq = {x: Fraction(x, nx) for x in set(xs)}
-    yq = {y: Fraction(y, ny) for y in set(ys)}
-    arcs: list[MonotoneArc] = []
+    keys = []
     start = 0
     for end in range(1, len(ts)):
         if end < len(signs) and signs[end] == signs[end - 1]:
             continue
         x0, x1, y0, y1 = xs[start], xs[end], ys[start], ys[end]
         if x0 == x1:  # a point when g is flat too
-            span = Interval(yq[min(y0, y1)], yq[max(y0, y1)])
-            arcs.append(MonotoneArc.vertical(xq[x0], span))
+            keys.append((x0, x0, min(y0, y1), max(y0, y1)))
         else:
             # f is strictly monotone on the piece and g monotone, so the
-            # points are a valid map once ordered by x
+            # points are an arc once ordered by x
             pts = list(zip(xs[start : end + 1], ys[start : end + 1]))
             if x1 < x0:
                 pts.reverse()
-            kind = HOR if y0 == y1 else INC if (x1 > x0) == (y1 > y0) else DEC
-            homeo = tuple((xq[x], yq[y]) for x, y in _merge_collinear(pts))
-            arcs.append(MonotoneArc._trusted(kind, PLMap._from_canonical(homeo)))
+            pts = _merge_collinear(pts)
+            keys.append(tuple(x for x, _ in pts) + tuple(y for _, y in pts))
         start = end
-    return PLRelation(arcs)
+    return _from_lattice(_relation_lattice(keys, nx, ny)[0])
 
 
 def fiber_intervals(rel: PLRelation, x: RatLike) -> list[Interval]:

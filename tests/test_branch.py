@@ -76,15 +76,15 @@ def test_level_counts_for_3_2():
 
 
 def test_branch_counts_build_no_branch_objects(monkeypatch):
-    """Past level 1, counting builds no map, so no arc: every level is
-    chained as integer keys."""
+    """Counting builds no map, so no arc, at any level: level 1 is read
+    from the integer form of the curve and every later level is chained as
+    integer keys."""
+    f, g = tent(5), tent(3)
     built = _maps_built(monkeypatch)
     monkeypatch.setattr(plent.branch, "chain", _refuse)
-    branch_counts(tent(5), tent(3), 1)
-    level1 = len(built)
-    rows = branch_counts(tent(5), tent(3), 4)
+    rows = branch_counts(f, g, 4)
     assert [count for _, count, _ in rows] == [7, 41, 223, 1169]
-    assert level1 > 0 and len(built) == 2 * level1
+    assert built == []
 
 
 def test_branch_counts_peak_memory():
@@ -234,8 +234,6 @@ def test_appendix_block_counts_build_no_branch_objects_and_chain_nothing(monkeyp
     f, g = _appendix_block(2, 3)
     built = _maps_built(monkeypatch)
     monkeypatch.setattr(plent.branch, "chain", _refuse)
-    branch_counts(f, g, 1)
-    level1 = len(built)
     rows = branch_counts(f, g, 4)
     assert [count for _, count, _ in rows] == [7, 32, 157, 782]
-    assert level1 > 0 and len(built) == 2 * level1
+    assert built == []

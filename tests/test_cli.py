@@ -93,6 +93,12 @@ def test_bracket_subcommand(tmp_path):
     assert lower <= math.log(3) <= upper
 
 
+def test_bracket_json_to_level_8_is_pinned(tmp_path):
+    assert run(tmp_path, "bracket", "--n", "3", "--m", "2", "--kmax", "8") == 0
+    digest = hashlib.sha256((tmp_path / "bracket.json").read_bytes()).hexdigest()
+    assert digest == "7ca00ade2a1d876fc3ea4d58bd92daf2324789408967b4a8ef0f59e5dbf92f2c"
+
+
 def test_bracket_without_a_horseshoe_fails_fast_at_its_level(tmp_path):
     start = time.perf_counter()
     assert run(tmp_path, "bracket", "--n", "2", "--m", "3", "--kmax", "4") == 2

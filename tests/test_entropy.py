@@ -852,3 +852,28 @@ def test_bracket_builds_each_power_from_the_previous_one(monkeypatch):
     monkeypatch.setattr(plent.plmap, "compose", counting_compose)
     bracket_theorem_main(3, 2, 6)
     assert len(calls) == 2 * (6 - 1)
+
+
+def test_bracket_materializes_no_arc_of_its_curves(monkeypatch):
+    """The horseshoe search and the branch counts read only the integer
+    form of each k-th curve, so none of them builds its arcs."""
+    import plent.relation
+
+    built = []
+    real = plent.relation._arcs_of
+    monkeypatch.setattr(plent.relation, "_arcs_of", lambda lat: built.append(lat) or real(lat))
+    report = bracket_theorem_main(3, 2, 6)
+    assert [k for k, _ in report.lower] == [1, 2, 3, 4, 5, 6]
+    assert built == []
+
+
+def test_first_subdivision_pattern_is_the_odd_pieces():
+    rng = random.Random(2020)
+    for _ in range(200):
+        lo, hi = sorted(F(rng.randint(0, 60), rng.randint(1, 60)) for _ in range(2))
+        if not lo < hi <= 1:
+            continue
+        n = rng.randint(2, 9)
+        step = (hi - lo) / (2 * n - 1)
+        want = tuple(Interval(lo + 2 * i * step, lo + (2 * i + 1) * step) for i in range(n))
+        assert next(_subdivision_patterns(Interval(lo, hi), n)) == want

@@ -2,6 +2,7 @@
 compositions, and strong commutation."""
 
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -32,7 +33,7 @@ from plent.relation import (
     strong_commutation_relations,
     strongly_commutes,
 )
-from plent.families import affine, fold_partner, plateau_map, shifted_fold, tent
+from plent.families import affine, fold_partner, parse_family, plateau_map, shifted_fold, tent
 
 
 def tent_inv_comp(n, m):
@@ -338,6 +339,68 @@ def test_param_graph_rejects_unequal_domains():
 def test_param_graph_power_oracle():
     rel = param_graph(tent(2), tent(2))
     assert rel_equals(rel_power(rel, 2), param_graph(iterate(tent(2), 2), iterate(tent(2), 2)))
+
+
+def fraction_param_graph(f, g):
+    """The curve {(f(t), g(t))} built in `Fraction`s through the validating
+    constructors, as param_graph's oracle: the points at the joint
+    breakpoints, split where the slope sign of f or of g changes, then
+    deduplicated and ordered as a relation orders its arcs."""
+    ts = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+    pts = [(f(t), g(t)) for t in ts]
+    signs = [((q > p) - (q < p), (w > v) - (w < v)) for (p, v), (q, w) in zip(pts, pts[1:])]
+    arcs, start = {}, 0
+    for end in range(1, len(pts)):
+        if end < len(signs) and signs[end] == signs[end - 1]:
+            continue
+        piece = pts[start : end + 1]
+        if signs[start][0] == 0:
+            ys = [y for _, y in piece]
+            arc = MonotoneArc.vertical(piece[0][0], Interval(min(ys), max(ys)))
+        else:
+            arc = MonotoneArc.from_map(PLMap(sorted(piece)))
+        arcs.setdefault(arc.key(), arc)
+        start = end
+    return sorted(arcs.values(), key=lambda a: (a.dom.lo, a.dom.hi, a.ran.lo, a.ran.hi, a.kind))
+
+
+@st.composite
+def unit_pl_maps(draw):
+    """A PL map on [0, 1], flat pieces and shared values included."""
+    values = st.fractions(0, 1, max_denominator=6)
+    xs = sorted({F(0), F(1), *draw(st.lists(st.fractions(0, 1, max_denominator=12), max_size=5))})
+    return PLMap(zip(xs, draw(st.lists(values, min_size=len(xs), max_size=len(xs)))))
+
+
+SPEC_MAPS = [
+    parse_family(spec)
+    for spec in ("tent:2", "tent:3", "sfold:3", "gfold:5", "plateau", "id", "affine:1/3:2/3",
+                 "slope:3/2", "tilde:tent:3")
+]
+
+
+@given(*[st.one_of(unit_pl_maps(), st.sampled_from(SPEC_MAPS))] * 2)
+@settings(max_examples=300, deadline=None)
+def test_param_graph_is_the_fraction_curve_and_round_trips(f, g):
+    rel = param_graph(f, g)
+    assert list(rel.arcs) == fraction_param_graph(f, g)
+    assert PLRelation(rel.arcs)._lattice == rel._lattice
+    back = pickle.loads(pickle.dumps(rel))
+    assert back._lattice == rel._lattice and back.arcs == rel.arcs
+
+
+def test_param_graph_builds_no_arc_until_its_arcs_are_read(monkeypatch):
+    f, g = iterate(tent(3), 3), iterate(tent(2), 3)
+    built = []
+    for cls, name in ((PLMap, "_from_canonical"), (MonotoneArc, "_trusted"), (MonotoneArc, "vertical")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, real=real: built.append(1) or real(*a))
+    monkeypatch.setattr(PLMap, "__init__", lambda *a: built.append(1))
+    rel = param_graph(f, g)
+    assert built == []
+    arcs = rel.arcs  # built now, once
+    count = len(built)
+    assert count > 0 and rel.arcs is arcs and len(built) == count
 
 
 # -- commutation -------------------------------------------------------------------
