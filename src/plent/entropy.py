@@ -623,7 +623,8 @@ def bracket_theorem_main(
     The two must bracket the target with the (log(k+1))/k gap at every k.
     The k-th curve is built from the (k-1)-th iterates, one `compose` per
     map, each capped at `cap_breakpoints`.  The first level without a
-    horseshoe raises CertificationError, before the next curve is built.
+    horseshoe raises CertificationError, before the next curve is built, and
+    so does a branch count (as `n`) that misses the bracket or its gap.
     """
     if math.gcd(n, m) != 1:
         raise CompositionError("tent parameters must be coprime")
@@ -659,9 +660,12 @@ def bracket_theorem_main(
     lower = tuple((c.k, c.bound) for c in certs)
     upper = tuple((k, h) for k, _cnt, h in rows)
     counts = tuple((k, cnt) for k, cnt, _h in rows)
-    for (k, lo), (_, hi) in zip(lower, upper):
+    for (k, lo), (_, cnt, hi) in zip(lower, rows):
         if not (lo <= target + 1e-12 and target <= hi + 1e-12):
-            raise AssertionError(f"bracket violated at k={k}: {lo} .. {target} .. {hi}")
-        if hi > target + math.log(k + 1) / k + 1e-12:
-            raise AssertionError(f"upper bound misses the (log(k+1))/k gap at k={k}")
+            miss = f"bracket violated at k={k}: {lo} .. {target} .. {hi}"
+        elif hi > target + math.log(k + 1) / k + 1e-12:
+            miss = f"upper bound misses the (log(k+1))/k gap at k={k}"
+        else:
+            continue
+        raise CertificationError(miss, level=k, n=cnt)
     return BracketReport(n, m, target, lower, upper, counts, tuple(certs))

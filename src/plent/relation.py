@@ -14,26 +14,36 @@ Two relations are equal when they are equal as subsets of the unit
 square; ``rel_equals`` compares canonical segment decompositions, so the
 particular arc decomposition does not matter.  A relation's state is its
 integer form (`_Lattice`), which one builder makes from integer arc keys,
-those of `param_graph` or of given `MonotoneArc`s; an arc's kind is read
-from its key.  The level-1 branch family and the horseshoe kernels read
-only that form, and the `arcs` view is built from it on first access.
+those of a curve (`param_graph`, `graph_of`), a composition, an inverse or
+of given `MonotoneArc`s; an arc's kind is read from its key.  One integer
+kernel, `_compose_keys`, composes relations (`compose_rel`, `rel_power`)
+and branch families (`branch.next_family`), building no `PLMap` or
+`MonotoneArc`.  The level-1 branch family and the horseshoe kernels read
+only the integer form, and the `arcs` view is built from it on first
+access.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import CompositionError, UnsupportedRelationError
+from .errors import CompositionError, ResourceError, UnsupportedRelationError
 from .plmap import (
     Interval,
     PLMap,
     RatLike,
+    _exact,
+    _lattice_for,
     _make_checked,
     _merge_collinear,
     _on_curve,
+    _pieces,
     _scaled,
+    _slopes,
+    _sweep,
     as_rat,
     compose,
     map_equals,
@@ -114,26 +124,6 @@ class MonotoneArc(_MonotoneArc):
         if self.kind == VER:
             return (VER, self.x, self.ys.lo, self.ys.hi)
         return (self.kind, self.homeo.breakpoints)
-
-    def segments(self) -> list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]:
-        """The arc as straight 2-D segments between consecutive breakpoints."""
-        if self.kind == VER:
-            return [((self.x, self.ys.lo), (self.x, self.ys.hi))]
-        bps = self.homeo.breakpoints
-        return [(bps[i], bps[i + 1]) for i in range(len(bps) - 1)]
-
-    def inverse(self) -> "MonotoneArc":
-        if self.kind == VER:
-            if self.is_point():
-                return MonotoneArc.vertical(self.ys.lo, self.dom)
-            # vertical becomes the constant map ys -> x
-            return MonotoneArc(
-                HOR, homeo=PLMap([(self.ys.lo, self.x), (self.ys.hi, self.x)])
-            )
-        if self.kind == HOR:
-            value = self.homeo.breakpoints[0][1]
-            return MonotoneArc.vertical(value, self.homeo.domain)
-        return MonotoneArc.from_map(self.homeo.inverse())
 
     def fiber(self, x: Fraction) -> Optional[Interval]:
         """The set of y with (x, y) on the arc, or None."""
@@ -250,15 +240,25 @@ def _from_lattice(lat: _Lattice) -> "PLRelation":
     return rel
 
 
-def _without_covered_points(arcs) -> list[MonotoneArc]:
-    """The arcs, less every point arc that lies on a non-point arc."""
-    solid = [arc for arc in arcs if not arc.is_point()]
-    return solid + [
-        p
-        for p in arcs
-        if p.is_point()
-        and not any((fib := a.fiber(p.x)) is not None and fib.contains(p.ys.lo) for a in solid)
-    ]
+def _drop_covered_points(keys: list) -> list:
+    """The keys, less every point key that lies on a non-point key: the
+    non-point keys first, then the points left, each group in order.  Each
+    segment tests, in integers, only the points whose x it spans."""
+    ys_at: dict = {}
+    for x, _, y, _ in filter(_is_point, keys):
+        ys_at.setdefault(x, set()).add(y)
+    xs = sorted(ys_at)
+    solid = [key for key in keys if not _is_point(key)]
+    covered = set()
+    for key in solid:
+        m = len(key) // 2
+        for px, qx, py, qy in zip(key[: m - 1], key[1:m], key[m:-1], key[m + 1 :]):
+            lo, hi = min(py, qy), max(py, qy)
+            for x in xs[bisect_left(xs, px) : bisect_right(xs, qx)]:
+                for y in ys_at[x]:
+                    if lo <= y <= hi and (y - py) * (qx - px) == (qy - py) * (x - px):
+                        covered.add((x, y))
+    return solid + [key for key in filter(_is_point, keys) if (key[0], key[2]) not in covered]
 
 
 class PLRelation:
@@ -305,15 +305,19 @@ class PLRelation:
         """The relation as a canonical set of maximal straight segments.
 
         Segments are grouped by the line they lie on and merged into
-        maximal pieces, and a point arc lying on another arc is dropped, so
-        this is a complete invariant of the point set.
+        maximal pieces, and a point arc lying on another arc is dropped
+        (`_drop_covered_points`), so this is a complete invariant of the
+        point set.  The segments are read from the integer form.
         """
         canon = object.__getattribute__(self, "_canon")
         if canon is not None:
             return canon
+        dx, dy, keys = self._lattice
         by_line: dict[tuple, list[Interval]] = {}
-        for arc in _without_covered_points(self.arcs):
-            for (px, py), (qx, qy) in arc.segments():
+        for arc in _drop_covered_points(keys):
+            m = len(arc) // 2
+            pts = [(Fraction(x, dx), Fraction(y, dy)) for x, y in zip(arc[:m], arc[m:])]
+            for (px, py), (qx, qy) in zip(pts, pts[1:]):
                 if px == qx:
                     key = ("v", px)
                     span = Interval(min(py, qy), max(py, qy))
@@ -339,8 +343,10 @@ def rel_union(*relations: PLRelation) -> PLRelation:
 
 
 def graph_of(f: PLMap) -> PLRelation:
-    """The graph of a PL map, split into its monotone laps."""
-    return PLRelation([MonotoneArc.from_map(lap) for lap in f.laps()])
+    """The graph {(t, f(t))} of a PL map, split into its monotone laps: the
+    curve of param_graph(identity_map(f.domain), f), with t as its own x."""
+    d, (ts,) = _scaled([x for x, _ in f.breakpoints])
+    return _curve(d, ts, *_on_curve(f, d, ts))
 
 
 def diagonal() -> PLRelation:
@@ -348,7 +354,12 @@ def diagonal() -> PLRelation:
 
 
 def inverse_rel(rel: PLRelation) -> PLRelation:
-    return PLRelation([arc.inverse() for arc in rel.arcs])
+    """The relation {(y, x) : (x, y) in rel}: each key with its halves
+    swapped, or reversed whole where the arc decreases, so that its x's
+    increase."""
+    dx, dy, keys = rel._lattice
+    swapped = [k[::-1] if _kind(k) == DEC else k[len(k) // 2 :] + k[: len(k) // 2] for k in keys]
+    return _from_lattice(_relation_lattice(swapped, dy, dx)[0])
 
 
 def param_graph(f: PLMap, g: PLMap) -> PLRelation:
@@ -365,16 +376,20 @@ def param_graph(f: PLMap, g: PLMap) -> PLRelation:
         raise CompositionError("parameterized graph needs maps with equal domains")
     d, (fts, gts) = _scaled([x for x, _ in f.breakpoints], [x for x, _ in g.breakpoints])
     ts = sorted({*fts, *gts})
-    nx, xs = _on_curve(f, d, ts)
-    ny, ys = _on_curve(g, d, ts)
-    # (slope sign of f, of g) per piece between consecutive ts
+    return _curve(*_on_curve(f, d, ts), *_on_curve(g, d, ts))
+
+
+def _curve(nx: int, xs: list[int], ny: int, ys: list[int]) -> PLRelation:
+    """The relation of the curve through the points (xs[i]/nx, ys[i]/ny),
+    one arc per piece between joint lap boundaries (see `param_graph`)."""
+    # (slope sign of x, of y) per piece between consecutive points
     signs = [
         ((x1 > x0) - (x1 < x0), (y1 > y0) - (y1 < y0))
         for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
     ]
     keys = []
     start = 0
-    for end in range(1, len(ts)):
+    for end in range(1, len(xs)):
         if end < len(signs) and signs[end] == signs[end - 1]:
             continue
         x0, x1, y0, y1 = xs[start], xs[end], ys[start], ys[end]
@@ -401,51 +416,127 @@ def fiber_intervals(rel: PLRelation, x: RatLike) -> list[Interval]:
     )
 
 
-def _compose_strict(r: PLMap, s: PLMap, overlap: Interval) -> MonotoneArc:
-    """The arc of s o r over `overlap`, the nondegenerate intersection of
-    the range of the strictly monotone r with the domain of s."""
-    rinv = r.inverse()
-    xa, xb = rinv(overlap.lo), rinv(overlap.hi)
-    rp = r.restrict(min(xa, xb), max(xa, xb))
-    return MonotoneArc.from_map(compose(s.restrict(overlap.lo, overlap.hi), rp))
+def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
+    """The key of arc b after arc a over the overlap [zlo, zhi]: its
+    breakpoints are the overlap's ends and the breakpoints of a and b
+    inside it, x from a^{-1} and y from b, with collinear ones merged."""
+    zs = sorted({zlo, zhi, *(z for z in za if zlo < z < zhi), *(z for z in zb if zlo < z < zhi)})
+    pts = list(zip(_sweep(za, fa, zs), _sweep(zb, fb, zs)))
+    if pts[0][0] > pts[-1][0]:
+        pts.reverse()
+    pts = _merge_collinear(pts)
+    return tuple(x for x, _ in pts) + tuple(y for _, y in pts)
 
 
-def _compose_pair(r: MonotoneArc, s: MonotoneArc) -> Optional[MonotoneArc]:
-    """The arc of s o r, or None when ran(r) misses dom(s).
+def _compose_keys(
+    outer: _Lattice, inner: _Lattice, cap_arcs: int | None = None, degenerate: list | None = None
+) -> tuple[int, int, list]:
+    """The arcs of outer o inner as keys over (nx, ny), the one kernel that
+    composes relations and branch families.
 
-    With O = ran(r) & dom(s), X = r^-1(O) and Z = s(O): a point X gives the
-    vertical X x Z, a point Z the horizontal over X; a point O with both
-    nondegenerate would be the rectangle X x Z, outside the model.
+    Each inner arc a, in order, meets each outer arc b, in order, on the
+    shared axis as the integer Z = z*L, L = lcm(inner.dy, outer.dx).  nx is
+    the least multiple of inner.dx on which every segment of every a^{-1}
+    maps the integers Z to integers, ny likewise for outer.dy and b
+    (`_lattice_for`).  A strictly monotone a over an overlap with interior
+    gives one arc, in closed form when a and b have two points each, else by
+    `_chained_key`; these come back deduplicated in the order first met, and
+    past `cap_arcs` of them a ResourceError carries them as `partial`.  The
+    arc of every other overlap goes to the list `degenerate`, if given.
     """
-    overlap = r.ran.intersect(s.dom)
-    if overlap is None:
-        return None
-    xs, zs = r.inverse().image(overlap), s.image(overlap)
-    if xs.is_point():
-        return MonotoneArc.vertical(xs.lo, zs)
-    if zs.is_point():
-        return MonotoneArc(HOR, homeo=PLMap([(xs.lo, zs.lo), (xs.hi, zs.lo)]))
-    if overlap.is_point():
-        raise UnsupportedRelationError(
-            f"composition produces a full rectangle ([{xs.lo}, {xs.hi}] x [{zs.lo}, {zs.hi}]); "
-            "rectangle fibers are outside the finite-arc model"
-        )
-    return _compose_strict(r.homeo, s.homeo, overlap)
+    shared = math.lcm(inner.dy, outer.dx)
+    si, so = shared // inner.dy, shared // outer.dx
+    # a vertical segment has no finite slope (den 0) and maps no Z range
+    inverses = ((k[len(k) // 2 :], k[: len(k) // 2]) for k in inner.keys)
+    inv_slopes = (s for y, x in inverses for s in _slopes(y, x, inner.dy, inner.dx) if s[1])
+    nx = _lattice_for(inner.dx, shared, inv_slopes)
+    halves = [(k[: len(k) // 2], k[len(k) // 2 :]) for k in outer.keys]
+    slopes = (s for x, y in halves for s in _slopes(x, y, outer.dx, outer.dy) if s[1])
+    ny = _lattice_for(outer.dy, shared, slopes)
+    mx, my = nx // inner.dx, ny // outer.dy
+    # each b as (lo, hi, w0, cb, zs, pieces) on Z: y = w0 + Z*cb when b has
+    # one piece, else w0 is None; a vertical b has no zs and its y-span as pieces
+    rows = []
+    for xs, ys in halves:
+        if xs[0] == xs[-1]:
+            rows.append((xs[0] * so, xs[0] * so, None, None, None, (ys[0] * my, ys[-1] * my)))
+        else:
+            zb, fb = _pieces([x * so for x in xs], [y * my for y in ys])
+            rows.append((zb[0], zb[-1], *(fb[0] if len(fb) == 1 else (None, None)), zb, fb))
+    limit = math.inf if cap_arcs is None else cap_arcs
+    seen: set = set()
+    out: list = []
+    for arc in inner.keys:
+        straight = len(arc) == 4
+        if straight:
+            x0, x1, y0, y1 = arc
+            if x0 == x1 or y0 == y1:  # a vertical arc, a point or a horizontal arc
+                for row in rows if degenerate is not None else ():
+                    lo, hi = max(y0 * si, row[0]), min(y1 * si, row[1])
+                    if lo <= hi:
+                        degenerate.append(_flat_key(x0 * mx, x1 * mx, row, lo, hi, nx, ny))
+                continue
+            # a^{-1} maps Z on a's range to x = u0 + Z*ca over nx
+            ca = _exact(nx * (x1 - x0) * inner.dy, shared * (y1 - y0) * inner.dx)
+            u0 = x0 * mx - y0 * si * ca
+            alo, ahi = (y0 * si, y1 * si) if ca > 0 else (y1 * si, y0 * si)
+            za, fa = (alo, ahi), ((u0, ca),)
+        else:
+            m = len(arc) // 2
+            za, fa = _pieces([y * si for y in arc[m:]], [x * mx for x in arc[:m]])
+            alo, ahi = za[0], za[-1]
+        for row in rows:
+            blo, bhi, w0, cb, zb, fb = row
+            zlo = alo if alo > blo else blo
+            zhi = ahi if ahi < bhi else bhi
+            if zlo >= zhi:
+                if degenerate is not None and zlo == zhi:
+                    (x,) = _sweep(za, fa, (zlo,))
+                    degenerate.append(_flat_key(x, x, row, zlo, zlo, nx, ny))
+                continue
+            if straight and w0 is not None:
+                u, v, w, z = u0 + zlo * ca, u0 + zhi * ca, w0 + zlo * cb, w0 + zhi * cb
+                key = (u, v, w, z) if ca > 0 else (v, u, z, w)
+            else:
+                key = _chained_key(za, fa, zb, fb, zlo, zhi)
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+                if len(out) > limit:
+                    raise ResourceError(
+                        f"composition exceeds cap {cap_arcs}", partial=_divided(out, nx, ny)
+                    )
+    return nx, ny, out
+
+
+def _flat_key(u: int, v: int, row: tuple, lo: int, hi: int, nx: int, ny: int) -> tuple[int, ...]:
+    """The arc of a degenerate overlap [lo, hi] on the shared axis, with
+    x-span X = [u, v] over nx and Y the y-span of the outer arc `row` on it:
+    a point X gives the vertical X x Y, a point Y the horizontal X x Y, and
+    a rectangle (a horizontal arc into a vertical one) is outside the model."""
+    if row[4] is None:
+        ylo, yhi = row[5]
+    else:
+        ylo, yhi = sorted(_sweep(row[4], row[5], (lo, hi)))
+    if u == v or ylo == yhi:
+        return (u, u, ylo, yhi) if u == v else (u, v, ylo, ylo)
+    xs, ys = (Fraction(u, nx), Fraction(v, nx)), (Fraction(ylo, ny), Fraction(yhi, ny))
+    raise UnsupportedRelationError(
+        f"composition produces a full rectangle ([{xs[0]}, {xs[1]}] x [{ys[0]}, {ys[1]}]); "
+        "rectangle fibers are outside the finite-arc model"
+    )
 
 
 def compose_rel(s: PLRelation, r: PLRelation) -> PLRelation:
     """The relation s o r = {(x, z) : exists y, (x,y) in r and (y,z) in s},
     every point kept: a degenerate overlap gives a point arc, dropped only
-    when it lies on another arc of the result."""
-    arcs = []
-    for ra in r.arcs:
-        for sa in s.arcs:
-            arc = _compose_pair(ra, sa)
-            if arc is not None:
-                arcs.append(arc)
-    if not arcs:
+    when it lies on another arc of the result (`_drop_covered_points`)."""
+    degenerate: list = []
+    nx, ny, keys = _compose_keys(s._lattice, r._lattice, degenerate=degenerate)
+    keys = _drop_covered_points(keys + degenerate)
+    if not keys:
         raise CompositionError("composition of relations is empty")
-    return PLRelation(_without_covered_points(arcs))
+    return _from_lattice(_relation_lattice(keys, nx, ny)[0])
 
 
 def rel_power(rel: PLRelation, k: int) -> PLRelation:

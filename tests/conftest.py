@@ -23,3 +23,22 @@ def _family_arcs(fam) -> list[MonotoneArc]:
 @pytest.fixture
 def family_arcs():
     return _family_arcs
+
+
+@pytest.fixture
+def maps_built(monkeypatch) -> list:
+    """A list that grows by one entry per `PLMap` built from now on."""
+    built = []
+    init, canonical = PLMap.__init__, PLMap._from_canonical.__func__
+
+    def counted_init(self, points):
+        built.append(1)
+        init(self, points)
+
+    def counted_canonical(cls, pts):
+        built.append(1)
+        return canonical(cls, pts)
+
+    monkeypatch.setattr(PLMap, "__init__", counted_init)
+    monkeypatch.setattr(PLMap, "_from_canonical", classmethod(counted_canonical))
+    return built

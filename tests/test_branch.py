@@ -7,12 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from plent.blocks import unit_copy
-from plent.errors import InvalidFamilyError, ResourceError
-from plent.plmap import Interval, PLMap
+from plent.errors import CertificationError, InvalidFamilyError, ResourceError
+from plent.plmap import Interval
 from plent.families import appendix_pair, block_interval, parse_family, plateau_map, tent
-from plent.relation import PLRelation, param_graph, rel_equals, rel_power
+from plent.relation import _Lattice, param_graph, rel_power
 import plent.branch
 from plent.branch import (
+    BranchFamily,
     branch_counts,
     chain,
     initial_branches,
@@ -26,24 +27,6 @@ def _families(f, g, k_max):
     for _ in range(k_max - 1):
         fams.append(next_family(fams[0], fams[-1]))
     return fams
-
-
-def _maps_built(monkeypatch) -> list:
-    """A list that grows by one entry per `PLMap` built from now on."""
-    built = []
-    init, canonical = PLMap.__init__, PLMap._from_canonical.__func__
-
-    def counted_init(self, points):
-        built.append(1)
-        init(self, points)
-
-    def counted_canonical(cls, pts):
-        built.append(1)
-        return canonical(cls, pts)
-
-    monkeypatch.setattr(PLMap, "__init__", counted_init)
-    monkeypatch.setattr(PLMap, "_from_canonical", classmethod(counted_canonical))
-    return built
 
 
 def _refuse(*args, **kwargs):
@@ -75,16 +58,16 @@ def test_level_counts_for_3_2():
     ]
 
 
-def test_branch_counts_build_no_branch_objects(monkeypatch):
+def test_branch_counts_build_no_branch_objects(monkeypatch, maps_built):
     """Counting builds no map, so no arc, at any level: level 1 is read
     from the integer form of the curve and every later level is chained as
     integer keys."""
     f, g = tent(5), tent(3)
-    built = _maps_built(monkeypatch)
+    maps_built.clear()
     monkeypatch.setattr(plent.branch, "chain", _refuse)
     rows = branch_counts(f, g, 4)
     assert [count for _, count, _ in rows] == [7, 41, 223, 1169]
-    assert built == []
+    assert maps_built == []
 
 
 def test_branch_counts_peak_memory():
@@ -107,10 +90,27 @@ def test_level_counts_respect_combinatorial_ceiling():
             assert count <= (k + 1) * n**k
 
 
-def test_family_relation_equals_relation_power(family_arcs):
-    base = param_graph(tent(3), tent(2))
-    for fam in _families(tent(3), tent(2), 3):
-        assert rel_equals(PLRelation(family_arcs(fam)), rel_power(base, fam.level))
+def test_a_count_over_the_ceiling_raises_certification_error(monkeypatch):
+    """A family larger than (k+1)*n^k means the recursion is broken; the
+    count is refused as a certificate, with its level and size."""
+    too_many = BranchFamily(2, _Lattice(1, 1, [(0, 1, i, i + 1) for i in range(28)]))
+    monkeypatch.setattr(plent.branch, "next_family", lambda base, fam, cap_arcs=None: too_many)
+    with pytest.raises(CertificationError, match="exceeds") as err:
+        branch_counts(tent(3), tent(2), 2)  # the ceiling at k = 2 is 3 * 3**2 = 27
+    assert (err.value.level, err.value.n) == (2, 28)
+
+
+def test_family_relation_equals_relation_power():
+    """For a strongly commuting pair the level-k family has exactly the
+    arcs of the k-th relation power, as integer forms."""
+    for f, g, k_max in [("tent:3", "tent:2", 6), ("gfold:5", "gfold:7", 4)]:
+        f, g = parse_family(f), parse_family(g)
+        base = param_graph(f, g)
+        for fam in _families(f, g, k_max):
+            power = rel_power(base, fam.level)._lattice
+            assert (power.dx, power.dy, sorted(power.keys)) == (
+                fam._lattice.dx, fam._lattice.dy, sorted(fam._lattice.keys)
+            )
 
 
 def test_chained_branch_projections(family_arcs):
@@ -230,10 +230,10 @@ def test_cap_of_a_mixed_family_fires_at_the_first_arc_over_it(f, g, cap):
     assert len(err.value.partial) == cap + 1
 
 
-def test_appendix_block_counts_build_no_branch_objects_and_chain_nothing(monkeypatch):
+def test_appendix_block_counts_build_no_branch_objects_and_chain_nothing(monkeypatch, maps_built):
     f, g = _appendix_block(2, 3)
-    built = _maps_built(monkeypatch)
+    maps_built.clear()
     monkeypatch.setattr(plent.branch, "chain", _refuse)
     rows = branch_counts(f, g, 4)
     assert [count for _, count, _ in rows] == [7, 32, 157, 782]
-    assert built == []
+    assert maps_built == []

@@ -56,6 +56,16 @@ def test_commute_check_failure_exits_one_with_witness(tmp_path):
     assert "g_after_f_inverse" in payload and "f_inverse_after_g" in payload
 
 
+def test_commute_check_of_a_plateau_with_itself_is_refused_as_a_rectangle(tmp_path):
+    assert run(tmp_path, "commute-check", "--f", "plateau", "--g", "plateau") == 2
+    assert read_json(tmp_path, "failure.json") == {
+        "command": "commute-check",
+        "error": "UnsupportedRelationError",
+        "message": "composition produces a full rectangle ([1/3, 2/3] x [1/3, 2/3]); "
+        "rectangle fibers are outside the finite-arc model",
+    }
+
+
 def test_branches_csv(tmp_path):
     assert run(tmp_path, "branches", "--n", "3", "--m", "2", "--kmax", "4") == 0
     rows = read_csv(tmp_path, "branches.csv")
@@ -108,6 +118,25 @@ def test_bracket_without_a_horseshoe_fails_fast_at_its_level(tmp_path):
         "command": "bracket",
         "error": "CertificationError",
         "message": "no 2-horseshoe found at level k=1",
+    }
+
+
+def test_a_count_past_the_gap_fails_bracket_with_a_certification_error(tmp_path, monkeypatch):
+    import plent.entropy
+
+    real = plent.entropy.branch_counts
+
+    def past_the_gap(f, g, k_max, cap_arcs=None):
+        rows = real(f, g, k_max, cap_arcs=cap_arcs)
+        count = (k_max + 1) * 3**k_max + 1
+        return rows[:-1] + [(k_max, count, math.log(count) / k_max)]
+
+    monkeypatch.setattr(plent.entropy, "branch_counts", past_the_gap)
+    assert run(tmp_path, "bracket", "--n", "3", "--m", "2", "--kmax", "2") == 2
+    assert read_json(tmp_path, "failure.json") == {
+        "command": "bracket",
+        "error": "CertificationError",
+        "message": "upper bound misses the (log(k+1))/k gap at k=2",
     }
 
 

@@ -644,7 +644,7 @@ def _reference_crossings(rel):
     the inc/dec arcs whose image over the base covers it, and the longest
     chain of their preimages of the base, each ending where or before the
     next begins (dynamic programming over the preimages by left end)."""
-    strict = [(arc, arc.ran, arc.inverse().homeo) for arc in rel.arcs if arc.kind in ("inc", "dec")]
+    strict = [(arc, arc.ran, arc.homeo.inverse()) for arc in rel.arcs if arc.kind in ("inc", "dec")]
 
     def crossings(base):
         spans = sorted(
@@ -810,6 +810,38 @@ def test_bracket_stops_at_the_first_level_without_a_horseshoe(monkeypatch):
         bracket_theorem_main(2, 3, 4)
     assert (err.value.level, err.value.n) == (1, 2)
     assert powers == [(tent(3), tent(2))]  # the curve of level 1 only
+
+
+def _branch_counts_with_last(count_at):
+    """`branch_counts` with the count of its last level replaced by
+    count_at(k)."""
+    import plent.entropy
+
+    real = plent.entropy.branch_counts
+
+    def patched(f, g, k_max, cap_arcs=None):
+        rows = real(f, g, k_max, cap_arcs=cap_arcs)
+        count = count_at(k_max)
+        return rows[:-1] + [(k_max, count, math.log(count) / k_max)]
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "count_at, message",
+    [
+        (lambda k: 3**k - 1, "bracket violated at k=2"),  # upper bound below log 3
+        (lambda k: (k + 1) * 3**k + 1, r"misses the \(log\(k\+1\)\)/k gap at k=2"),
+    ],
+    ids=["missed-bracket", "missed-gap"],
+)
+def test_a_broken_bracket_raises_certification_error(monkeypatch, count_at, message):
+    import plent.entropy
+
+    monkeypatch.setattr(plent.entropy, "branch_counts", _branch_counts_with_last(count_at))
+    with pytest.raises(CertificationError, match=message) as err:
+        bracket_theorem_main(3, 2, 2)
+    assert (err.value.level, err.value.n) == (2, count_at(2))
 
 
 def test_bracket_rejects_non_coprime_pairs():

@@ -1,17 +1,29 @@
 """Planar relations built from monotone arcs: graphs, inverses,
 compositions, and strong commutation."""
 
+import hashlib
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plent.branch import chain
 from plent.errors import CompositionError, UnsupportedRelationError
-from plent.plmap import Interval, PLMap, UNIT, compose, constant_map, iterate, merge_intervals
+from plent.plmap import (
+    Interval,
+    PLMap,
+    UNIT,
+    compose,
+    constant_map,
+    identity_map,
+    iterate,
+    merge_intervals,
+)
 from plent.relation import (
     DEC,
     HOR,
@@ -19,7 +31,6 @@ from plent.relation import (
     VER,
     MonotoneArc,
     PLRelation,
-    _compose_pair,
     commutes,
     compose_rel,
     diagonal,
@@ -65,6 +76,27 @@ def test_image_of_interval():
 def test_diagonal_relation():
     d = diagonal()
     assert fiber_intervals(d, F(1, 3)) == [Interval(F(1, 3), F(1, 3))]
+
+
+SPECS = [
+    "tent:2", "tent:3", "tent:4", "tent:5", "sfold:3", "sfold:5", "gfold:5", "gfold:7",
+    "plateau", "id", "slope:3/2", "slope:3", "tilde:tent:3", "block:2:tent:3",
+]
+
+
+OFF_UNIT_PLATEAU = PLMap([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(3, 4), 0)])
+
+
+@pytest.mark.parametrize(
+    "f", [parse_family(spec) for spec in SPECS] + [OFF_UNIT_PLATEAU], ids=SPECS + ["off-unit-plateau"]
+)
+def test_graph_of_is_the_relation_of_its_laps(f):
+    """graph_of is the curve {(t, f(t))}; its integer form is that of the
+    map's laps taken as arcs, keys in order, a domain other than [0, 1]
+    included."""
+    laps = PLRelation([MonotoneArc.from_map(lap) for lap in f.laps()])
+    assert graph_of(f)._lattice == laps._lattice
+    assert graph_of(f)._lattice == param_graph(identity_map(f.domain), f)._lattice
 
 
 # -- equality as point sets -----------------------------------------------------
@@ -182,7 +214,7 @@ def _chained_fiber(s, r, x):
 
 def _assert_compose_matches_fibers(s, r, xs):
     comp = compose_rel(s, r)
-    xs = set(xs) | {x for arc in comp.arcs for seg in arc.segments() for x, _ in seg}
+    xs = set(xs) | {x for arc in comp.arcs for x, _ in _arc_points(arc)}
     for x in sorted(xs):
         assert fiber_intervals(comp, x) == _chained_fiber(s, r, x), x
 
@@ -192,12 +224,95 @@ def _sample_xs(s, r):
     domain of an arc of s: isolated points of s o r can only sit there."""
     xs = {F(k, 48) for k in range(49)}
     for ra in r.arcs:
-        back = ra.inverse()
         for sa in s.arcs:
             for y in (sa.dom.lo, sa.dom.hi):
-                if (iv := back.fiber(y)) is not None:
-                    xs |= {iv.lo, iv.hi}
+                if ra.ran.contains(y):
+                    xs |= set(_preimage(ra, Interval(y, y)))
     return xs
+
+
+def _preimage(arc, ys):
+    """The x-span of the points of the arc with y in ys, an interval inside
+    its range, in `Fraction`s."""
+    if arc.kind == VER:
+        return Interval(arc.x, arc.x)
+    if arc.kind == HOR:
+        return arc.dom
+    return Interval(*sorted(arc.homeo.inverse()(y) for y in ys))
+
+
+def _compose_pair(r, s):
+    """The arc of s o r in `Fraction`s, or None when ran(r) misses dom(s):
+    the composition oracle.
+
+    With O = ran(r) & dom(s), X = r^-1(O) and Z = s(O): a point X gives the
+    vertical X x Z, a point Z the horizontal over X; a point O with both
+    nondegenerate would be the rectangle X x Z, outside the model.
+    """
+    overlap = r.ran.intersect(s.dom)
+    if overlap is None:
+        return None
+    xs, zs = _preimage(r, overlap), s.image(overlap)
+    if xs.is_point():
+        return MonotoneArc.vertical(xs.lo, zs)
+    if zs.is_point():
+        return MonotoneArc(HOR, homeo=PLMap([(xs.lo, zs.lo), (xs.hi, zs.lo)]))
+    if overlap.is_point():
+        raise UnsupportedRelationError(
+            f"composition produces a full rectangle ([{xs.lo}, {xs.hi}] x [{zs.lo}, {zs.hi}]); "
+            "rectangle fibers are outside the finite-arc model"
+        )
+    return chain(r, s)
+
+
+def _without_covered_points(arcs):
+    """The arcs, less every point arc that lies on a non-point arc."""
+    solid = [arc for arc in arcs if not arc.is_point()]
+    return solid + [
+        p
+        for p in arcs
+        if p.is_point()
+        and not any((fib := a.fiber(p.x)) is not None and fib.contains(p.ys.lo) for a in solid)
+    ]
+
+
+def fraction_compose_rel(s, r):
+    """s o r composed pair by pair in `Fraction`s, as compose_rel's oracle."""
+    arcs = [arc for ra in r.arcs for sa in s.arcs if (arc := _compose_pair(ra, sa)) is not None]
+    if not arcs:
+        raise CompositionError("composition of relations is empty")
+    return PLRelation(_without_covered_points(arcs))
+
+
+def _random_relation(rng):
+    """One to five random arcs, each strictly monotone one sometimes with
+    its twin: the arc with the same ends and its bend toggled, so that arcs
+    of the relation, and of its compositions, tie on the sort key."""
+    arcs = []
+    for _ in range(rng.randint(1, 5)):
+        arcs.append(_random_arc(rng))
+        if arcs[-1].kind in (INC, DEC) and rng.random() < 0.5:
+            (x0, y0), *bend, (x1, y1) = arcs[-1].homeo.breakpoints
+            mid = [] if bend else [((x0 + x1) / 2, (y0 + y1) / 2 + (y1 - y0) / 4)]
+            arcs.append(MonotoneArc(arcs[-1].kind, homeo=PLMap([(x0, y0), *mid, (x1, y1)])))
+    return PLRelation(arcs)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_compose_rel_is_the_fraction_composition(rng):
+    """On random relations mixing inc, dec, horizontal, vertical and point
+    arcs, twins that tie on the sort key included, the integer composition
+    has the oracle's integer form, keys in order, and fails exactly where
+    the oracle fails, with the same error."""
+    r, s = _random_relation(rng), _random_relation(rng)
+    try:
+        want = fraction_compose_rel(s, r)
+    except (CompositionError, UnsupportedRelationError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            compose_rel(s, r)
+    else:
+        assert compose_rel(s, r)._lattice == want._lattice
 
 
 def test_compose_of_tent_relations_against_bruteforce_fibers():
@@ -268,7 +383,8 @@ def test_a_point_on_a_segment_is_absorbed():
 
 
 def test_inverse_of_a_point_is_a_point():
-    assert _point(F(1, 3), F(2, 3)).inverse().key() == (VER, F(2, 3), F(1, 3), F(1, 3))
+    inverse = inverse_rel(PLRelation([_point(F(1, 3), F(2, 3))]))
+    assert [arc.key() for arc in inverse.arcs] == [(VER, F(2, 3), F(1, 3), F(1, 3))]
 
 
 def test_empty_composition_raises():
@@ -283,6 +399,22 @@ def test_rectangle_composition_is_rejected():
     ver = inverse_rel(hor)
     with pytest.raises(UnsupportedRelationError):
         compose_rel(ver, hor)
+
+
+def test_relation_algebra_builds_no_map_and_leaves_arcs_unbuilt(maps_built):
+    """compose_rel, rel_power, inverse_rel and graph_of work on integer
+    forms only: they build no `PLMap`, so no arc, and no result has built
+    its `arcs` view, horizontal, vertical and point arcs included."""
+    maps = [iterate(tent(3), 2), iterate(tent(2), 2), plateau_map(), constant_map(UNIT, F(1, 2))]
+    maps_built.clear()
+    f, g, plateau, flat = (graph_of(m) for m in maps)
+    results = [f, g, plateau, flat, inverse_rel(plateau), inverse_rel(flat)]
+    results.append(compose_rel(g, inverse_rel(f)))
+    results.append(compose_rel(inverse_rel(plateau), g))
+    results.append(compose_rel(flat, inverse_rel(plateau)))
+    results.append(rel_power(param_graph(*maps[:2]), 3))
+    assert maps_built == []
+    assert all(rel._arcs is None for rel in results)
 
 
 # -- parameterized graphs ----------------------------------------------------------
@@ -418,6 +550,25 @@ def test_strong_commutation_for_tents_iff_coprime(n, m, want):
 def test_strong_commutation_returns_both_relations():
     flag, lhs, rhs = strong_commutation_relations(tent(2), tent(3))
     assert flag and rel_equals(lhs, rhs)
+
+
+def test_strong_commutation_witnesses_of_the_builtin_specs_are_pinned():
+    """Both relations of every ordered pair of the built-in specs, as their
+    integer forms, keys in order; only (plateau, plateau) is refused, as a
+    rectangle."""
+    rows = []
+    for a in SPECS:
+        for b in SPECS:
+            try:
+                equal, lhs, rhs = strong_commutation_relations(parse_family(a), parse_family(b))
+            except UnsupportedRelationError:
+                rows.append((a, b, "UnsupportedRelationError"))
+            else:
+                rows.append((a, b, equal, tuple(lhs._lattice), tuple(rhs._lattice)))
+    assert sum(row[2] is True for row in rows) == 49
+    assert [row[:2] for row in rows if len(row) == 3] == [("plateau", "plateau")]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "d862d19bc9ef47669770a8165f930576b930f4515b86165ec90009fdcdf72590"
 
 
 def test_commutes_is_necessary_for_strong_commutation():
