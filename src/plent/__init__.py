@@ -2,10 +2,12 @@
 entropy bounds for diagonal maps on truncated inverse limit spaces."""
 
 from .plmap import (
+    Bound,
     Interval,
     LapGrowth,
     PLMap,
     as_rat,
+    at_most,
     compose,
     constant_slope,
     entropy_lap_growth,

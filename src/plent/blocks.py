@@ -2,26 +2,25 @@
 
 The block-assembled pairs (f_k, g_k) act independently on each dyadic
 block B_i, so the coordinate relation psi_k = g_k o f_k^{-1} decomposes
-blockwise.  Each block is rescaled to [0,1] and analyzed on its own:
-certified lower bounds come from an exact constant-slope certificate when
-the block relation is a single-valued map of constant absolute slope, or
-from an exactly verified horseshoe otherwise; upper bounds come from
-deduplicated branch counts.
+blockwise.  Each block is rescaled to [0,1] and analyzed on its own, its
+bounds exact `Bound`s: the lower one is an "exact" log s when the block
+relation is a single-valued map of constant absolute slope s, else a
+"certified" log N with an exactly verified N-horseshoe as evidence, or
+None; the upper one is (1/k) log of the block's deduplicated branch count.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .branch import branch_counts
-from .entropy import HorseshoeCert, find_horseshoe
+from .entropy import find_horseshoe
 from .families import appendix_pair, block_interval
 from .invlim import DiagonalSystem
-from .plmap import Interval, PLMap, RatLike, as_rat, constant_slope
-from .relation import PLRelation, param_graph
+from .plmap import Bound, Interval, PLMap, RatLike, as_rat, compose, constant_slope
+from .relation import param_graph
 
 
 @lru_cache(maxsize=32)
@@ -50,11 +49,8 @@ def unit_copy(f: PLMap, block: Interval) -> PLMap:
 class BlockRow(NamedTuple):
     block: int
     interval: Interval
-    lower: float
-    lower_kind: str  # "constant-slope" | "horseshoe" | "none"
-    upper: float  # (1/k_b) log |M_(k_b)| on the block
-    k_branch: int
-    cert: Optional[HorseshoeCert]
+    lower: Optional[Bound]  # None when no certificate was found
+    upper: Bound  # (1/k_b) log |M_(k_b)| on the block
 
 
 class LevelReport(NamedTuple):
@@ -62,31 +58,18 @@ class LevelReport(NamedTuple):
     n_k: int
     rows: tuple[BlockRow, ...]
 
-    @property
-    def lower(self) -> float:
-        return max(r.lower for r in self.rows)
 
-    @property
-    def upper(self) -> float:
-        return max(r.upper for r in self.rows)
-
-
-def _block_lower(
-    fb: PLMap, gb: PLMap, rel: PLRelation, horseshoe_n: Optional[int]
-) -> tuple[float, str, Optional[HorseshoeCert]]:
+def _block_lower(fb: PLMap, gb: PLMap, horseshoe_n: Optional[int]) -> Optional[Bound]:
     if fb.is_strictly_monotone():
         # single-valued block: g o f^{-1} is an honest PL map
-        from .plmap import compose
-
-        m = compose(gb, fb.inverse())
-        s = constant_slope(m)
+        s = constant_slope(compose(gb, fb.inverse()))
         if s is not None and s >= 1:
-            return math.log(s) if s > 1 else 0.0, "constant-slope", None
+            return Bound(1, s, "exact")
     if horseshoe_n is not None and horseshoe_n >= 2:
-        cert = find_horseshoe(rel, horseshoe_n)
+        cert = find_horseshoe(param_graph(fb, gb), horseshoe_n)
         if cert is not None:
-            return cert.bound, "horseshoe", cert
-    return 0.0, "none", None
+            return Bound(1, cert.n, "certified", cert)
+    return None
 
 
 def level_report(
@@ -108,10 +91,7 @@ def level_report(
         blk = block_interval(i)
         fb = unit_copy(f_k, blk)
         gb = unit_copy(g_k, blk)
-        rel = param_graph(fb, gb)
-        horseshoe_n = n_k if i == k + 1 else None
-        lower, kind, cert = _block_lower(fb, gb, rel, horseshoe_n)
-        counts = branch_counts(fb, gb, k_branch, cap_arcs=cap_arcs)
-        kb, _cnt, upper = counts[-1]
-        rows.append(BlockRow(i, blk, lower, kind, upper, kb, cert))
+        lower = _block_lower(fb, gb, n_k if i == k + 1 else None)
+        kb, cnt, _h = branch_counts(fb, gb, k_branch, cap_arcs=cap_arcs)[-1]
+        rows.append(BlockRow(i, blk, lower, Bound(kb, cnt, "certified")))
     return LevelReport(k, n_k, tuple(rows))

@@ -31,7 +31,7 @@ from .entropy import (
 from .errors import ParseError
 from .families import parse_family, tent
 from .invlim import DiagonalSystem, check_diagonal_compat, entropy_estimate_diagonal
-from .plmap import CAP_BREAKPOINTS, LapGrowth, PLMap, entropy_lap_growth
+from .plmap import CAP_BREAKPOINTS, Bound, LapGrowth, PLMap, at_most, entropy_lap_growth
 from .relation import (
     PLRelation,
     compose_rel,
@@ -122,6 +122,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(serialize.dumps(payload) + "\n")
 
 
+def _log(bound: Bound) -> float:
+    """The float that an artifact prints for the exact (1/k) log base."""
+    return math.log(bound.base) / bound.k
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -170,7 +175,7 @@ def cmd_horseshoe(args) -> int:
         {
             "found": True,
             "n": cert.n,
-            "bound": cert.bound,
+            "bound": math.log(cert.n),
             "reverified": ok,
             "intervals": [
                 [serialize.rat_to_json(iv.lo), serialize.rat_to_json(iv.hi)]
@@ -190,13 +195,11 @@ def cmd_bracket(args) -> int:
         {
             "n": report.n,
             "m": report.m,
-            "target": report.target,
-            "lower": [[k, v] for k, v in report.lower],
-            "upper": [[k, v] for k, v in report.upper],
-            "counts": [[k, c] for k, c in report.counts],
-            "certs": [
-                {"k": c.k, "n": c.n, "bound": c.bound} for c in report.certs
-            ],
+            "target": _log(report.target),
+            "lower": [[b.k, _log(b)] for b in report.lower],
+            "upper": [[b.k, _log(b)] for b in report.upper],
+            "counts": [[b.k, b.base.numerator] for b in report.upper],
+            "certs": [{"k": b.k, "n": b.base.numerator, "bound": _log(b)} for b in report.lower],
         },
     )
     return 0
@@ -207,7 +210,8 @@ def cmd_entropy_map(args) -> int:
     rows = [(i + 1, f"{t:.10f}") for i, t in enumerate(growth.terms)]
     out = _out_dir(args)
     _write_csv(out / "lap_growth.csv", ["n", "estimate"], rows)
-    _write_json(out / "lap_growth.json", {"exact": growth.exact, "terms": list(growth.terms)})
+    exact = None if growth.exact is None else _log(growth.exact)
+    _write_json(out / "lap_growth.json", {"exact": exact, "terms": list(growth.terms)})
     return 0
 
 
@@ -249,13 +253,16 @@ def cmd_appendix(args) -> int:
     ok = compat
     for k in range(1, args.kmax + 1):
         rep = level_report(args.nseq, args.s, k, k_branch=args.kbranch, cap_arcs=args.cap_arcs)
-        target = max(math.log(float(args.s)), math.log(rep.n_k))
-        slack = math.log(rep.rows[0].k_branch + 1) / rep.rows[0].k_branch
-        level_ok = rep.lower >= target - 1e-12 and rep.upper <= target + slack + 1e-12
-        ok = ok and level_ok
+        target = Bound(1, max(args.s, rep.n_k), "theorem")
+        ok = ok and any(r.lower is not None and at_most(target, r.lower) for r in rep.rows)
+        ok = ok and all(at_most(r.upper, target, gap=r.upper.k + 1) for r in rep.rows)
         for r in rep.rows:
+            kind, lower = "none", 0.0
+            if r.lower is not None:
+                kind = "constant-slope" if r.lower.kind == "exact" else "horseshoe"
+                lower = _log(r.lower)
             rows.append(
-                (k, rep.n_k, r.block, r.lower_kind, f"{r.lower:.10f}", f"{r.upper:.10f}", r.k_branch)
+                (k, rep.n_k, r.block, kind, f"{lower:.10f}", f"{_log(r.upper):.10f}", r.upper.k)
             )
     out = _out_dir(args)
     _write_csv(

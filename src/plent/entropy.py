@@ -5,7 +5,7 @@ Three independent routes live here:
 * orbit enumeration with (n, eps)-separated / spanning counts,
 * certified horseshoes (exact cross-coverage of disjoint intervals),
 * the bracket pipeline squeezing the entropy of a parameterized curve
-  between horseshoe lower bounds and branch-count upper bounds.
+  between horseshoe and branch-count `Bound`s, compared by `at_most`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from .branch import branch_counts
 from .errors import CertificationError, CompositionError, ResourceError
 from .plmap import (
-    Interval, _exact, _lattice_for, _on_lattice, _pieces, _scaled, _slopes, _sweep, as_rat, compose
+    Bound, Interval, _exact, _lattice_for, _on_lattice, _pieces, _scaled, _slopes, _sweep, as_rat,
+    at_most, compose,
 )
 from .relation import (
     DEC,
@@ -347,10 +348,6 @@ class HorseshoeCert(NamedTuple):
     def n(self) -> int:
         return len(self.intervals)
 
-    @property
-    def bound(self) -> float:
-        return math.log(self.n)
-
 
 def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> tuple[int, int]:
     """The two lattices of the check, (D, Dx).  Dx is the lcm of the
@@ -555,21 +552,14 @@ def find_horseshoe(rel: PLRelation, n: int) -> Optional[HorseshoeCert]:
     return None
 
 
-class IterateBound(NamedTuple):
-    k: int
-    n: int
-    bound: float  # (1/k) log n
-    cert: HorseshoeCert
-
-
 def iterate_horseshoe_bound(
     k_max: int,
     power: Callable[[int], PLRelation],
     *,
     candidates: Callable[[int], Sequence[int]],
-) -> list[IterateBound]:
+) -> list[Bound]:
     """Certified lower bounds (1/k) log N_k from horseshoes of the k-th
-    composition power.
+    composition power, as `Bound`s with their `HorseshoeCert`s as evidence.
 
     `power(k)` forms the k-th power, for k = 1, 2, ... in turn (e.g.
     parameterized graphs of iterated maps when the pair strongly commutes,
@@ -588,7 +578,7 @@ def iterate_horseshoe_bound(
         for n in sizes:
             cert = find_horseshoe(rk, n)
             if cert is not None:
-                out.append(IterateBound(k, n, math.log(n) / k, cert))
+                out.append(Bound(k, n, "certified", cert))
                 break
         else:
             break
@@ -602,11 +592,9 @@ def iterate_horseshoe_bound(
 class BracketReport(NamedTuple):
     n: int
     m: int
-    target: float  # log max(n, m)
-    lower: tuple[tuple[int, float], ...]  # (k, certified lower bound)
-    upper: tuple[tuple[int, float], ...]  # (k, branch-count upper bound)
-    counts: tuple[tuple[int, int], ...]  # (k, |family_k|)
-    certs: tuple[IterateBound, ...]
+    target: Bound  # log max(n, m)
+    lower: tuple[Bound, ...]  # per k, (1/k) log N_k of an N_k-horseshoe
+    upper: tuple[Bound, ...]  # per k, (1/k) log |family_k|
 
 
 def bracket_theorem_main(
@@ -619,8 +607,8 @@ def bracket_theorem_main(
     """Squeeze the entropy of the curve {(T_m(t), T_n(t))} around log max(n,m).
 
     Lower bounds come from exactly verified floor((max^k + 1)/2)-horseshoes
-    of the iterated curve; upper bounds from deduplicated branch counts.
-    The two must bracket the target with the (log(k+1))/k gap at every k.
+    of the iterated curve, upper bounds from deduplicated branch counts, and
+    `at_most` checks N_k <= max^k <= |family_k| <= (k+1) max^k at every k.
     The k-th curve is built from the (k-1)-th iterates, one `compose` per
     map, each capped at `cap_breakpoints`.  The first level without a
     horseshoe raises CertificationError, before the next curve is built, and
@@ -634,7 +622,7 @@ def bracket_theorem_main(
     if not strongly_commutes(f, g):
         raise CompositionError("tent pair unexpectedly fails strong commutation")
     big = max(n, m)
-    target = math.log(big)
+    target = Bound(1, big, "theorem")
 
     fk, gk = f, g
 
@@ -650,22 +638,20 @@ def bracket_theorem_main(
     def size(k: int) -> int:
         return (big**k + 1) // 2
 
-    certs = iterate_horseshoe_bound(k_max, power, candidates=lambda k: [size(k)])
-    if len(certs) < k_max:
-        k = len(certs) + 1
+    lower = tuple(iterate_horseshoe_bound(k_max, power, candidates=lambda k: [size(k)]))
+    if len(lower) < k_max:
+        k = len(lower) + 1
         raise CertificationError(
             f"no {size(k)}-horseshoe found at level k={k}", level=k, n=size(k)
         )
     rows = branch_counts(f, g, k_max, cap_arcs=cap_arcs)
-    lower = tuple((c.k, c.bound) for c in certs)
-    upper = tuple((k, h) for k, _cnt, h in rows)
-    counts = tuple((k, cnt) for k, cnt, _h in rows)
-    for (k, lo), (_, cnt, hi) in zip(lower, rows):
-        if not (lo <= target + 1e-12 and target <= hi + 1e-12):
-            miss = f"bracket violated at k={k}: {lo} .. {target} .. {hi}"
-        elif hi > target + math.log(k + 1) / k + 1e-12:
+    upper = tuple(Bound(k, cnt, "certified") for k, cnt, _h in rows)
+    for lo, hi, (k, cnt, _h) in zip(lower, upper, rows):
+        if not (at_most(lo, target) and at_most(target, hi)):
+            miss = f"bracket violated at k={k}: {lo.base} .. {big}^{k} .. {cnt}"
+        elif not at_most(hi, target, gap=k + 1):
             miss = f"upper bound misses the (log(k+1))/k gap at k={k}"
         else:
             continue
         raise CertificationError(miss, level=k, n=cnt)
-    return BracketReport(n, m, target, lower, upper, counts, tuple(certs))
+    return BracketReport(n, m, target, lower, upper)

@@ -9,9 +9,10 @@ and an integer (w, c) per segment, with value w + z*c, and `_sweep`
 reads it at increasing points.  The private helpers that other modules
 import are those two, the lattice helpers (`_on_lattice`, `_scaled`,
 `_slopes`, `_lattice_for`, `_exact`), `_on_curve`, `_merge_collinear` and
-the records' `_make_checked`; none defines its own.  Nothing in this
-module touches floating point except the entropy estimates at the very
-end, which report logarithms of exactly computed integers.
+the records' `_make_checked`; none defines its own.  Every certified
+entropy value of the package is a `Bound`, (1/k) log base held exactly,
+and `at_most` is the one comparison of two; the only floats are the
+lap-growth estimates at the very end, logarithms of exact integers.
 """
 
 from __future__ import annotations
@@ -454,16 +455,40 @@ def map_equals(f: PLMap, g: PLMap) -> bool:
     return f.breakpoints == g.breakpoints
 
 
-class LapGrowth(NamedTuple):
-    """Lap-count entropy data: terms[n-1] = log(laps(f^{n+1}) - 1) / n ...
+_Bound = NamedTuple("_Bound", [("k", int), ("base", Fraction), ("kind", str), ("evidence", object)])
+_KINDS = ("exact", "certified", "theorem")
 
-    `terms` holds (1/n) * log(lap_count(f^n) - 1) for n = 1..n_max, with a
-    term of 0.0 whenever lap_count(f^n) <= 2.  `exact` is the exactly known
-    entropy when the map has constant absolute slope, else None.
-    """
+
+class Bound(_Bound):
+    """(1/k) log base, exact: an integer k >= 1 and a rational base >= 1.
+    `kind` is "exact" (an entropy in closed form), "certified" (a bound
+    with a checked witness: a horseshoe, as `evidence`, or a branch count)
+    or "theorem" (a bracket's target).  Only `at_most` compares two."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, base: RatLike, kind: str, evidence=None):
+        base = as_rat(base)
+        if not isinstance(k, int) or k < 1 or base < 1 or kind not in _KINDS:
+            raise ValueError(f"not a bound (1/k) log base: k={k!r}, base={base}, kind={kind!r}")
+        return tuple.__new__(cls, (k, base, kind, evidence))
+
+    _make = classmethod(_make_checked)
+
+
+def at_most(a: Bound, b: Bound, gap: int = 1) -> bool:
+    """Whether (1/a.k) log a.base <= (1/b.k) log b.base + (1/a.k) log gap,
+    decided exactly as a.base^b.k <= gap^b.k * b.base^a.k."""
+    return a.base**b.k <= gap**b.k * b.base**a.k
+
+
+class LapGrowth(NamedTuple):
+    """Lap-count entropy data: terms[n-1] = log(lap_count(f^n) - 1) / n for
+    n = 1..n_max, or 0.0 when lap_count(f^n) <= 2; `exact` is the entropy as
+    an "exact" `Bound` when the map has constant absolute slope, else None."""
 
     terms: tuple[float, ...]
-    exact: Optional[float]
+    exact: Optional[Bound]
 
 
 def constant_slope(f: PLMap) -> Optional[Fraction]:
@@ -480,14 +505,12 @@ def entropy_lap_growth(
     """Entropy estimates from the growth rate of lap counts.
 
     When f has constant absolute slope s, the entropy is exactly
-    max(0, log s) and is reported in `exact` without iterating.
+    log max(1, s) and is reported in `exact` without iterating.
     """
     if not f.domain.contains_interval(f.range):
         raise CompositionError("map does not send its domain into itself")
     s = constant_slope(f)
-    exact = None
-    if s is not None:
-        exact = math.log(s) if s > 1 else 0.0
+    exact = None if s is None else Bound(1, max(s, ONE), "exact")
     terms: list[float] = []
     g = f
     for n in range(1, n_max + 1):

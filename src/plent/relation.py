@@ -454,15 +454,19 @@ def _compose_keys(
     slopes = (s for x, y in halves for s in _slopes(x, y, outer.dx, outer.dy) if s[1])
     ny = _lattice_for(outer.dy, shared, slopes)
     mx, my = nx // inner.dx, ny // outer.dy
-    # each b as (lo, hi, w0, cb, zs, pieces) on Z: y = w0 + Z*cb when b has
-    # one piece, else w0 is None; a vertical b has no zs and its y-span as pieces
+    # each b as (lo, hi, w0, cb, zs, pieces, wlo, whi) on Z: y = w0 + Z*cb,
+    # wlo at lo and whi at hi, when b has one piece, else w0 is None; a
+    # vertical b has no zs and its y-span as pieces
     rows = []
     for xs, ys in halves:
         if xs[0] == xs[-1]:
-            rows.append((xs[0] * so, xs[0] * so, None, None, None, (ys[0] * my, ys[-1] * my)))
+            span = (ys[0] * my, ys[-1] * my)
+            rows.append((xs[0] * so, xs[0] * so, None, None, None, span, None, None))
         else:
-            zb, fb = _pieces([x * so for x in xs], [y * my for y in ys])
-            rows.append((zb[0], zb[-1], *(fb[0] if len(fb) == 1 else (None, None)), zb, fb))
+            yb = [y * my for y in ys]
+            zb, fb = _pieces([x * so for x in xs], yb)
+            one = fb[0] if len(fb) == 1 else (None, None)
+            rows.append((zb[0], zb[-1], *one, zb, fb, yb[0], yb[-1]))
     limit = math.inf if cap_arcs is None else cap_arcs
     seen: set = set()
     out: list = []
@@ -476,17 +480,21 @@ def _compose_keys(
                     if lo <= hi:
                         degenerate.append(_flat_key(x0 * mx, x1 * mx, row, lo, hi, nx, ny))
                 continue
-            # a^{-1} maps Z on a's range to x = u0 + Z*ca over nx
+            # a^{-1} maps Z on a's range to x = u0 + Z*ca over nx, xlo at
+            # alo and xhi at ahi
             ca = _exact(nx * (x1 - x0) * inner.dy, shared * (y1 - y0) * inner.dx)
-            u0 = x0 * mx - y0 * si * ca
-            alo, ahi = (y0 * si, y1 * si) if ca > 0 else (y1 * si, y0 * si)
+            xlo, xhi = x0 * mx, x1 * mx
+            u0 = xlo - y0 * si * ca
+            alo, ahi = y0 * si, y1 * si
+            if ca < 0:
+                alo, ahi, xlo, xhi = ahi, alo, xhi, xlo
             za, fa = (alo, ahi), ((u0, ca),)
         else:
             m = len(arc) // 2
             za, fa = _pieces([y * si for y in arc[m:]], [x * mx for x in arc[:m]])
             alo, ahi = za[0], za[-1]
         for row in rows:
-            blo, bhi, w0, cb, zb, fb = row
+            blo, bhi, w0, cb, zb, fb, wlo, whi = row
             zlo = alo if alo > blo else blo
             zhi = ahi if ahi < bhi else bhi
             if zlo >= zhi:
@@ -495,7 +503,12 @@ def _compose_keys(
                     degenerate.append(_flat_key(x, x, row, zlo, zlo, nx, ny))
                 continue
             if straight and w0 is not None:
-                u, v, w, z = u0 + zlo * ca, u0 + zhi * ca, w0 + zlo * cb, w0 + zhi * cb
+                # each end of the overlap is an end of a's range or of b's
+                # domain, so the key shares the ends' ints a and b hold
+                u = xlo if zlo == alo else u0 + zlo * ca
+                v = xhi if zhi == ahi else u0 + zhi * ca
+                w = wlo if zlo == blo else w0 + zlo * cb
+                z = whi if zhi == bhi else w0 + zhi * cb
                 key = (u, v, w, z) if ca > 0 else (v, u, z, w)
             else:
                 key = _chained_key(za, fa, zb, fb, zlo, zhi)

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plent.plmap import Interval, compose, identity_map, iterate, map_equals
+from plent.plmap import Bound, Interval, at_most, compose, identity_map, iterate, map_equals
 from plent.families import (
     appendix_pair,
     fold_partner,
@@ -107,21 +107,21 @@ def test_criterion_3_branch_calculus(family_arcs):
 def test_criterion_4_entropy_bracketing():
     start = time.perf_counter()
     report = bracket_theorem_main(3, 2, 8)
-    target = math.log(3)
-    lower = dict(report.lower)
-    upper = dict(report.upper)
-    assert lower[8] >= math.log(3) - math.log(2) / 8
-    assert upper[8] <= math.log(3) + math.log(9) / 8
-    lows = [lower[k] for k in range(1, 9)]
-    ups = [upper[k] for k in range(1, 9)]
-    assert lows == sorted(lows) and ups == sorted(ups, reverse=True)
-    for k in range(1, 9):
-        assert lower[k] <= target <= upper[k]
+    target = Bound(1, 3, "theorem")
+    lower, upper = report.lower, report.upper
+    assert [b.k for b in lower] == [b.k for b in upper] == list(range(1, 9))
+    # log 3 <= lower_8 + (1/8) log 2, and upper_8 <= log 3 + (1/8) log 9
+    assert at_most(Bound(8, 3**8, "theorem"), lower[-1], gap=2)
+    assert at_most(upper[-1], target, gap=9)
+    assert all(at_most(a, b) for a, b in zip(lower, lower[1:]))
+    assert all(at_most(b, a) for a, b in zip(upper, upper[1:]))
+    for lo, hi in zip(lower, upper):
+        assert at_most(lo, target) and at_most(target, hi)
 
     report53 = bracket_theorem_main(5, 3, 5)
-    lower5 = dict(report53.lower)
-    upper5 = dict(report53.upper)
-    assert lower5[5] <= math.log(5) <= upper5[5]
+    lo5, hi5 = report53.lower[-1], report53.upper[-1]
+    assert lo5.k == hi5.k == 5
+    assert at_most(lo5, report53.target) and at_most(report53.target, hi5)
     assert time.perf_counter() - start < 300
 
 
@@ -131,7 +131,7 @@ def test_criterion_5_lap_growth_estimates():
     assert abs(math.log(t36.lap_count() - 1) / 6 - math.log(3)) < 1e-3
     for s in (F(3, 2), F(2), F(3)):
         growth = entropy_lap_growth(slope_map(s), 3)
-        assert growth.exact == math.log(s)
+        assert growth.exact == Bound(1, s, "exact")
     assert time.perf_counter() - start < 30
 
 
@@ -184,13 +184,14 @@ def test_criterion_8_blockwise_counterexample_behavior():
     assert check_diagonal_compat(system, 3)
 
     k_branch = 5
-    slack = math.log(k_branch + 1) / k_branch
     for k in (1, 2, 3):
         rep = level_report(n_seq, s, k, k_branch=k_branch)
-        expected = max(math.log(s), math.log(n_seq[k - 1]))
-        assert rep.lower >= math.log(n_seq[k - 1]) - 1e-12
-        assert rep.rows[0].lower >= math.log(s) - 1e-12
-        assert rep.upper <= expected + slack + 1e-12
+        expected = Bound(1, max(s, n_seq[k - 1]), "theorem")
+        lows = [r.lower for r in rep.rows if r.lower is not None]
+        assert any(at_most(Bound(1, n_seq[k - 1], "theorem"), lo) for lo in lows)
+        assert at_most(Bound(1, s, "theorem"), rep.rows[0].lower)
+        for r in rep.rows:
+            assert r.upper.k == k_branch and at_most(r.upper, expected, gap=k_branch + 1)
 
     with pytest.raises(LiftingError) as err:
         lift_orbit(system, 1, [F(4, 5), F(4, 5), F(4, 5), F(5, 6)], depth=4)

@@ -6,11 +6,13 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from plent.cli import build_parser, main
+from plent.plmap import Bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, gate  # noqa: E402
@@ -189,6 +191,31 @@ def test_appendix_subcommand(tmp_path):
     assert code == 0
     payload = read_json(tmp_path, "appendix.json")
     assert payload["compatible"] and payload["bounds_ok"]
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_an_appendix_block_one_past_its_edge_fails_the_bounds(tmp_path, monkeypatch, side):
+    """At k = 1 of --s 2 --nseq 2,5 the target is log 2.  Every lower bound
+    is set just below it, or one block's upper bound just past
+    log 2 + (1/40) log 41; each is within 1e-12 of its edge in floats."""
+    import plent.cli
+
+    real = plent.cli.level_report
+
+    def past_an_edge(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        if side == "lower":
+            below = Bound(1, 2 - F(1, 10**15), "exact")
+            rows = [r if r.lower is None else r._replace(lower=below) for r in rep.rows]
+        else:
+            past = Bound(40, 41 * 2**40 + 1, "certified")
+            rows = [rep.rows[0]._replace(upper=past), *rep.rows[1:]]
+        return rep._replace(rows=tuple(rows))
+
+    monkeypatch.setattr(plent.cli, "level_report", past_an_edge)
+    code = run(tmp_path, "appendix", "--s", "2", "--nseq", "2,5", "--kmax", "1", "--kbranch", "4")
+    assert code == 1
+    assert read_json(tmp_path, "appendix.json") == {"compatible": True, "bounds_ok": False}
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from plent.blocks import level_report, unit_copy
 from plent.errors import CertificationError, ResourceError
-from plent.plmap import Interval, PLMap, _on_lattice, compose, iterate, merge_intervals
+from plent.plmap import (
+    Bound, Interval, PLMap, _on_lattice, at_most, compose, iterate, merge_intervals
+)
 from plent.families import appendix_pair, block_interval, plateau_map, slope_map, tent
 from plent.relation import (
     MonotoneArc,
@@ -26,6 +28,7 @@ from plent.relation import (
     rel_power,
 )
 from plent.entropy import (
+    HorseshoeCert,
     _base_intervals,
     _crossings,
     _lattice,
@@ -275,7 +278,7 @@ def test_tent_self_composition_has_the_classic_two_horseshoe():
         Interval(F(2, 3), F(1)),
     ]
     assert verify_horseshoe(rel, cert.intervals)
-    assert cert.bound == pytest.approx(math.log(2))
+    assert cert.n == 2
 
 
 def test_verify_horseshoe_rejects_bad_intervals():
@@ -301,9 +304,10 @@ def test_iterate_horseshoe_bounds_grow():
     rows = iterate_horseshoe_bound(
         3, power=lambda k: rel_power(rel, k), candidates=lambda k: [(3**k + 1) // 2]
     )
-    bounds = [row.bound for row in rows]
-    assert bounds == sorted(bounds)
-    assert bounds[0] == pytest.approx(math.log(2))
+    assert all(at_most(a, b) for a, b in zip(rows, rows[1:]))
+    assert rows[0][:3] == (1, 2, "certified")
+    for row in rows:
+        assert isinstance(row.evidence, HorseshoeCert) and row.evidence.n == row.base
 
 
 @pytest.mark.parametrize("sizes", [[1], [0], [1, 2]])
@@ -773,7 +777,7 @@ def test_appendix_block_searches_stay_within_the_call_budget(monkeypatch):
     monkeypatch.setattr(plent.entropy, "verify_horseshoe", counting_verify)
     for k in (1, 2, 3):
         rows = level_report((2, 5, 2, 5), 2, k).rows
-        assert rows[k].lower_kind == "horseshoe"
+        assert isinstance(rows[k].lower.evidence, HorseshoeCert)
     # 466 in the old longest-first order: 118 + 230 + 118
     assert 0 < len(calls) <= 80
 
@@ -783,16 +787,13 @@ def test_appendix_block_searches_stay_within_the_call_budget(monkeypatch):
 
 def test_bracket_contains_target_at_every_level():
     report = bracket_theorem_main(3, 2, 4)
-    target = math.log(3)
-    lower = dict(report.lower)
-    upper = dict(report.upper)
-    for k in range(1, 5):
-        assert lower[k] <= target <= upper[k]
+    assert report.target == Bound(1, 3, "theorem")
+    assert [b.k for b in report.lower] == [b.k for b in report.upper] == [1, 2, 3, 4]
+    for lo, hi in zip(report.lower, report.upper):
+        assert at_most(lo, report.target) and at_most(report.target, hi)
     # monotone tightening
-    lows = [lower[k] for k in range(1, 5)]
-    ups = [upper[k] for k in range(1, 5)]
-    assert lows == sorted(lows)
-    assert ups == sorted(ups, reverse=True)
+    assert all(at_most(a, b) for a, b in zip(report.lower, report.lower[1:]))
+    assert all(at_most(b, a) for a, b in zip(report.upper, report.upper[1:]))
 
 
 def test_bracket_stops_at_the_first_level_without_a_horseshoe(monkeypatch):
@@ -844,6 +845,55 @@ def test_a_broken_bracket_raises_certification_error(monkeypatch, count_at, mess
     assert (err.value.level, err.value.n) == (2, count_at(2))
 
 
+K, SIZE, COUNT = 23, (3**23 + 1) // 2, 3**23  # the bracket's level, a horseshoe, a count
+
+
+def _bracket_to_23(monkeypatch, size, count):
+    """bracket_theorem_main(3, 2, 23) on stand-in horseshoe bounds of the
+    sizes it asks for, (1/k) log ((3^k + 1) // 2), and branch counts 3^k,
+    at every level but the last, where they are size and count."""
+    import plent.entropy
+
+    def horseshoes(k_max, power, *, candidates):
+        sizes = [candidates(k)[0] for k in range(1, k_max)] + [size]
+        return [Bound(k, n, "certified") for k, n in enumerate(sizes, 1)]
+
+    def counts(f, g, k_max, cap_arcs=None):
+        cs = [3**k for k in range(1, k_max)] + [count]
+        return [(k, c, math.log(c) / k) for k, c in enumerate(cs, 1)]
+
+    monkeypatch.setattr(plent.entropy, "iterate_horseshoe_bound", horseshoes)
+    monkeypatch.setattr(plent.entropy, "branch_counts", counts)
+    return bracket_theorem_main(3, 2, K)
+
+
+@pytest.mark.parametrize(
+    "size, count",
+    [(SIZE, COUNT), (SIZE, (K + 1) * COUNT), (COUNT, COUNT)],
+    ids=["count-at-target", "count-at-gap", "horseshoe-at-target"],
+)
+def test_a_bracket_to_level_23_holds_at_its_edges(monkeypatch, size, count):
+    report = _bracket_to_23(monkeypatch, size, count)
+    assert (report.lower[-1].base, report.upper[-1].base) == (size, count)
+
+
+@pytest.mark.parametrize(
+    "size, count, message",
+    [
+        (SIZE, COUNT - 1, "bracket violated at k=23"),
+        (SIZE, (K + 1) * COUNT + 1, r"misses the \(log\(k\+1\)\)/k gap at k=23"),
+        (COUNT + 1, COUNT, "bracket violated at k=23"),
+    ],
+    ids=["count-below-target", "count-past-gap", "horseshoe-past-target"],
+)
+def test_one_past_an_edge_fails_the_bracket_at_level_23(monkeypatch, size, count, message):
+    """Each is within 1e-12 of its edge in floats, (1/23) log N against
+    log 3 or log 3 + log(24)/23, so only an exact check sees it."""
+    with pytest.raises(CertificationError, match=message) as err:
+        _bracket_to_23(monkeypatch, size, count)
+    assert (err.value.level, err.value.n) == (K, count)
+
+
 def test_bracket_rejects_non_coprime_pairs():
     with pytest.raises(ValueError):
         bracket_theorem_main(4, 2, 2)
@@ -851,8 +901,8 @@ def test_bracket_rejects_non_coprime_pairs():
 
 def _cert_digest(report):
     text = "\n".join(
-        f"{c.k} {c.n} " + " ".join(f"{iv.lo}:{iv.hi}" for iv in c.cert.intervals)
-        for c in report.certs
+        f"{b.k} {b.base} " + " ".join(f"{iv.lo}:{iv.hi}" for iv in b.evidence.intervals)
+        for b in report.lower
     )
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -895,7 +945,7 @@ def test_bracket_materializes_no_arc_of_its_curves(monkeypatch):
     real = plent.relation._arcs_of
     monkeypatch.setattr(plent.relation, "_arcs_of", lambda lat: built.append(lat) or real(lat))
     report = bracket_theorem_main(3, 2, 6)
-    assert [k for k, _ in report.lower] == [1, 2, 3, 4, 5, 6]
+    assert [b.k for b in report.lower] == [1, 2, 3, 4, 5, 6]
     assert built == []
 
 

@@ -1,7 +1,7 @@
 """Every module of the package, except its re-exporting __init__.py, and
-every test module use each name they import, and every private helper of
-the package is used somewhere.  No linter ships with the toolchain, so
-these are stdlib ``ast`` checks."""
+every test module use each name they import, every private helper of the
+package is used somewhere, and the package holds no float literal but 0.0.
+No linter ships with the toolchain, so these are stdlib ``ast`` checks."""
 
 import ast
 import re
@@ -132,3 +132,24 @@ def test_plmap_docstring_names_exactly_the_helpers_other_modules_import():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "plmap":
                 imported |= {alias.name for alias in node.names if _is_private(alias.name)}
     assert named == imported
+
+
+def float_literals(source: str) -> list[str]:
+    """The float literals of `source` other than 0.0, such as a tolerance."""
+    return [
+        f"{node.value!r} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value != 0.0
+    ]
+
+
+def test_float_checker_sees_every_float_but_zero():
+    source = "a = 1e-12\nb = 0.0\nc = 2.\nd = 1\ne = '0.5'\nf = 1j\n"
+    assert float_literals(source) == ["1e-12 (line 1)", "2.0 (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_float_literal_but_zero(path):
+    """A certified number is an exact `Bound`, compared by `at_most`, so no
+    module needs a tolerance; 0.0 stays as the estimate of no growth."""
+    assert float_literals(path.read_text()) == []

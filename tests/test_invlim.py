@@ -8,7 +8,7 @@ import pytest
 
 from plent.errors import CompositionError, DepthExhaustedError, DomainError, LiftingError
 from plent.families import appendix_pair, parse_family, tent
-from plent.plmap import PLMap, as_rat, compose, map_equals
+from plent.plmap import Bound, PLMap, as_rat, at_most, compose, map_equals
 from plent.relation import param_graph, rel_equals
 from plent.invlim import (
     DiagonalSystem,
@@ -423,12 +423,15 @@ def test_appendix_pair_definitions_commute_through_levels():
 def test_level_report_brackets_the_expected_entropy():
     n_seq = (2, 5, 2, 5)
     s = F(2)
-    slack = math.log(6) / 5  # deepest branch level is 5
     for k in (1, 2, 3):
         rep = level_report(n_seq, s, k)
-        expected = max(math.log(2), math.log(n_seq[k - 1]))
-        assert rep.lower == pytest.approx(expected)
-        assert rep.upper <= expected + slack + 1e-12
+        expected = Bound(1, max(2, n_seq[k - 1]), "theorem")
+        # the largest lower bound is the expected entropy
+        lows = [r.lower for r in rep.rows if r.lower is not None]
+        assert all(at_most(lo, expected) for lo in lows)
+        assert any(at_most(expected, lo) for lo in lows)
+        # the deepest branch level is 5, so the gap is (1/5) log 6
+        for r in rep.rows:
+            assert r.upper.k == 5 and at_most(r.upper, expected, gap=6)
         # the first block certifies log s exactly
-        first = rep.rows[0]
-        assert first.lower == pytest.approx(math.log(2))
+        assert rep.rows[0].lower == Bound(1, 2, "exact")

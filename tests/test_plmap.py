@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from plent.errors import DomainError, ResourceError
 from plent.plmap import (
+    Bound,
     Interval,
     PLMap,
     UNIT,
@@ -16,6 +17,7 @@ from plent.plmap import (
     _on_lattice,
     _pieces,
     _sweep,
+    at_most,
     compose,
     constant_map,
     constant_slope,
@@ -182,7 +184,7 @@ def test_constant_slope_detection():
 def test_lap_growth_exact_fast_path():
     for s in (F(3, 2), F(2), F(3)):
         growth = entropy_lap_growth(slope_map(s), 3)
-        assert growth.exact == math.log(s)
+        assert growth.exact == Bound(1, s, "exact")
 
 
 def test_lap_growth_terms_approach_log_n():
@@ -192,7 +194,25 @@ def test_lap_growth_terms_approach_log_n():
 
 def test_constant_map_has_zero_entropy_estimate():
     growth = entropy_lap_growth(constant_map(UNIT, F(1, 2)), 3)
-    assert growth.exact == 0.0
+    assert growth.exact == Bound(1, 1, "exact")
+
+
+def test_at_most_decides_each_side_of_an_equality_of_logs_exactly():
+    three = Bound(1, 3, "theorem")
+    # (1/2) log 9 = log 3, and (1/2) log (9/4) = log (3/2)
+    assert at_most(Bound(2, 9, "certified"), three) and at_most(three, Bound(2, 9, "certified"))
+    assert not at_most(Bound(2, 10, "certified"), three)
+    assert not at_most(three, Bound(2, 8, "certified"))
+    half = Bound(1, F(3, 2), "exact")
+    assert at_most(Bound(2, F(9, 4), "exact"), half) and at_most(half, Bound(2, F(9, 4), "exact"))
+    assert not at_most(Bound(2, F(9, 4) + F(1, 10**9), "exact"), half)
+    # a count against log 3 with the gap (1/k) log(k+1): N <= (k+1) 3^k
+    for k in (1, 2, 23):
+        assert at_most(Bound(k, (k + 1) * 3**k, "certified"), three, gap=k + 1)
+        assert not at_most(Bound(k, (k + 1) * 3**k + 1, "certified"), three, gap=k + 1)
+    # at k = 23 a float comparison with a 1e-12 tolerance cannot tell
+    below = Bound(23, 3**23 - 1, "certified")
+    assert math.log(3) <= math.log(below.base) / 23 + 1e-12 and not at_most(three, below)
 
 
 # -- property tests ------------------------------------------------------------

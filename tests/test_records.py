@@ -15,9 +15,9 @@ import pytest
 
 from plent.blocks import BlockRow, LevelReport
 from plent.branch import _Lattice
-from plent.entropy import BracketReport, EstimateRow, HorseshoeCert, IterateBound, OrbitSet
+from plent.entropy import BracketReport, EstimateRow, HorseshoeCert, OrbitSet
 from plent.invlim import DiagonalEstimateRow, TruncatedPoint
-from plent.plmap import Interval, LapGrowth, PLMap
+from plent.plmap import Bound, Interval, LapGrowth, PLMap
 from plent.families import tent
 from plent.relation import DEC, HOR, INC, VER, MonotoneArc, param_graph, rel_equals
 
@@ -26,22 +26,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HALVES = (Interval(F(0), F(1, 2)), Interval(F(1, 2), F(1)))
 ARC = MonotoneArc.from_map(PLMap([(0, 0), (F(1, 2), F(1, 3)), (1, 1)]))
 CERT = HorseshoeCert(HALVES)
-BOUND = IterateBound(1, 2, math.log(2), CERT)
-ROW = BlockRow(2, HALVES[1], math.log(2), "horseshoe", 0.75, 5, CERT)
+BOUND = Bound(1, 2, "certified", CERT)
+ROW = BlockRow(2, HALVES[1], BOUND, Bound(5, 64, "certified"))
 
 # one instance of every record, with a field to try to overwrite
 RECORDS = {
     "Interval": (HALVES[0], "lo"),
-    "LapGrowth": (LapGrowth((0.5, 0.25), None), "exact"),
+    "LapGrowth": (LapGrowth((0.5, 0.25), Bound(1, F(3, 2), "exact")), "exact"),
     "MonotoneArc": (ARC, "kind"),
     "MonotoneArc.vertical": (MonotoneArc.vertical(F(1, 3), HALVES[1]), "ys"),
     "_Lattice": (_Lattice(2, 3, [(0, 2, 0, 3)]), "dx"),
     "OrbitSet": (OrbitSet(1, F(1, 2), ((F(0),), (F(1, 2),))), "orbits"),
     "EstimateRow": (EstimateRow(1, F(1, 8), F(1, 32), 2, 2, math.log(2)), "estimate"),
     "HorseshoeCert": (CERT, "intervals"),
-    "IterateBound": (BOUND, "bound"),
+    "Bound": (BOUND, "base"),
     "BracketReport": (
-        BracketReport(3, 2, math.log(3), ((1, 0.69),), ((1, 1.1),), ((1, 3),), (BOUND,)),
+        BracketReport(3, 2, Bound(1, 3, "theorem"), (BOUND,), (Bound(1, 4, "certified"),)),
         "target",
     ),
     "TruncatedPoint": (TruncatedPoint((F(1, 2), F(1, 4))), "coords"),
@@ -100,6 +100,9 @@ def test_a_pickled_map_is_the_same_canonical_map():
         lambda: MonotoneArc(VER, homeo=PLMap([(0, 0), (1, 1)]), x=F(0), ys=HALVES[0]),
         lambda: MonotoneArc("zigzag", homeo=PLMap([(0, 0), (1, 1)])),
         lambda: TruncatedPoint(()),
+        lambda: Bound(0, 2, "certified"),
+        lambda: Bound(1, F(1, 2), "certified"),
+        lambda: Bound(1, 2, "heuristic"),
     ],
 )
 def test_validated_records_reject_bad_fields(build):
@@ -116,9 +119,10 @@ def test_validated_records_reject_bad_fields(build):
         lambda: MonotoneArc._make((VER, None, F(1, 2), None)),
         lambda: RECORDS["TruncatedPoint"][0]._replace(coords=()),
         lambda: TruncatedPoint._make(((),)),
+        lambda: BOUND._replace(k=0),
     ],
     ids=["Interval._replace", "Interval._make", "MonotoneArc._replace", "MonotoneArc._make",
-         "TruncatedPoint._replace", "TruncatedPoint._make"],
+         "TruncatedPoint._replace", "TruncatedPoint._make", "Bound._replace"],
 )
 def test_replace_and_make_check_the_fields(build):
     with pytest.raises(ValueError):
