@@ -92,6 +92,5 @@ def level_report(
         fb = unit_copy(f_k, blk)
         gb = unit_copy(g_k, blk)
         lower = _block_lower(fb, gb, n_k if i == k + 1 else None)
-        kb, cnt, _h = branch_counts(fb, gb, k_branch, cap_arcs=cap_arcs)[-1]
-        rows.append(BlockRow(i, blk, lower, Bound(kb, cnt, "certified")))
+        rows.append(BlockRow(i, blk, lower, branch_counts(fb, gb, k_branch, cap_arcs=cap_arcs)[-1]))
     return LevelReport(k, n_k, tuple(rows))

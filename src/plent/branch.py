@@ -15,11 +15,10 @@ composes two arcs in `Fraction`s, independently, as the kernel's reference.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .errors import CertificationError, InvalidFamilyError, ResourceError
-from .plmap import PLMap, UNIT, compose
+from .plmap import Bound, PLMap, UNIT, compose
 from .relation import (
     INC,
     DEC,
@@ -105,8 +104,8 @@ def next_family(
 
 def branch_counts(
     f: PLMap, g: PLMap, k_max: int, cap_arcs: int | None = None
-) -> list[tuple[int, int, float]]:
-    """Rows (k, |family_k|, log|family_k| / k) for k = 1..k_max.
+) -> list[Bound]:
+    """The "certified" upper bounds (1/k) log |family_k| for k = 1..k_max.
 
     The levels are streamed: only the level-1 family and the latest one
     are held.  Checks the combinatorial ceiling |family_k| <= (k+1) * n^k,
@@ -125,5 +124,5 @@ def branch_counts(
             raise CertificationError(
                 f"branch count {count} at level {k} exceeds ({k}+1)*{n}^{k}", level=k, n=count
             )
-        rows.append((k, count, math.log(count) / k))
+        rows.append(Bound(k, count, "certified"))
     return rows

@@ -157,7 +157,7 @@ def cmd_branches(args) -> int:
     _write_csv(
         _out_dir(args) / "branches.csv",
         ["k", "count", "log_growth"],
-        [(k, c, f"{h:.10f}") for k, c, h in rows],
+        [(b.k, b.base.numerator, f"{_log(b):.10f}") for b in rows],
     )
     return 0
 

@@ -612,7 +612,8 @@ def bracket_theorem_main(
     The k-th curve is built from the (k-1)-th iterates, one `compose` per
     map, each capped at `cap_breakpoints`.  The first level without a
     horseshoe raises CertificationError, before the next curve is built, and
-    so does a branch count (as `n`) that misses the bracket or its gap.
+    so does a horseshoe or a branch count that misses the bracket, or a
+    count past its gap, with the size at fault as `n`.
     """
     if math.gcd(n, m) != 1:
         raise CompositionError("tent parameters must be coprime")
@@ -644,14 +645,15 @@ def bracket_theorem_main(
         raise CertificationError(
             f"no {size(k)}-horseshoe found at level k={k}", level=k, n=size(k)
         )
-    rows = branch_counts(f, g, k_max, cap_arcs=cap_arcs)
-    upper = tuple(Bound(k, cnt, "certified") for k, cnt, _h in rows)
-    for lo, hi, (k, cnt, _h) in zip(lower, upper, rows):
-        if not (at_most(lo, target) and at_most(target, hi)):
-            miss = f"bracket violated at k={k}: {lo.base} .. {big}^{k} .. {cnt}"
+    upper = tuple(branch_counts(f, g, k_max, cap_arcs=cap_arcs))
+    for lo, hi in zip(lower, upper):
+        k = hi.k
+        at_fault = hi if at_most(lo, target) else lo  # the horseshoe past the target
+        if at_fault is lo or not at_most(target, hi):
+            miss = f"bracket violated at k={k}: {lo.base} .. {big}^{k} .. {hi.base}"
         elif not at_most(hi, target, gap=k + 1):
             miss = f"upper bound misses the (log(k+1))/k gap at k={k}"
         else:
             continue
-        raise CertificationError(miss, level=k, n=cnt)
+        raise CertificationError(miss, level=k, n=at_fault.base.numerator)
     return BracketReport(n, m, target, lower, upper)

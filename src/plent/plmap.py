@@ -6,9 +6,10 @@ lattices, one per axis, chosen so that every breakpoint and value of the
 result is an exact integer, and the `Fraction` map is built once at the
 end.  An integer PL curve has one form: `_pieces` gives its breakpoints
 and an integer (w, c) per segment, with value w + z*c, and `_sweep`
-reads it at increasing points.  The private helpers that other modules
-import are those two, the lattice helpers (`_on_lattice`, `_scaled`,
-`_slopes`, `_lattice_for`, `_exact`), `_on_curve`, `_merge_collinear` and
+reads it at increasing points (`_value` at one).  The private helpers
+that other modules import are those three, the lattice helpers
+(`_on_lattice`, `_scaled`, `_slopes`, `_lattice_for`, `_exact`),
+`_on_curve`, `_merge_collinear`, `_merged` (the union of closed spans) and
 the records' `_make_checked`; none defines its own.  Every certified
 entropy value of the package is a `Bound`, (1/k) log base held exactly,
 and `at_most` is the one comparison of two; the only floats are the
@@ -90,17 +91,21 @@ class Interval(_Interval):
         return Interval(lo, hi)
 
 
+def _merged(spans: Iterable[tuple]) -> list[tuple]:
+    """Union of closed spans (lo, hi), of any ordered type, as a sorted
+    list of maximal ones."""
+    out: list[tuple] = []
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return out
+
+
 def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     """Union of closed intervals as a sorted list of maximal components."""
-    items = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    out: list[Interval] = []
-    for iv in items:
-        if out and iv.lo <= out[-1].hi:
-            if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
-    return out
+    return [Interval(lo, hi) for lo, hi in _merged(intervals)]
 
 
 UNIT = Interval(ZERO, ONE)
@@ -260,8 +265,6 @@ class PLMap:
                 x = x0 + (y - y0) / slope
                 hits.append(Interval(x, x))
         return merge_intervals(hits)
-
-    # -- calculus ------------------------------------------------------------
 
 
 def _merge_collinear(pts):

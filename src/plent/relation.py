@@ -11,16 +11,16 @@ An arc is one of:
   is closed under composition: a degenerate overlap yields a point.
 
 Two relations are equal when they are equal as subsets of the unit
-square; ``rel_equals`` compares canonical segment decompositions, so the
-particular arc decomposition does not matter.  A relation's state is its
-integer form (`_Lattice`), which one builder makes from integer arc keys,
-those of a curve (`param_graph`, `graph_of`), a composition, an inverse or
-of given `MonotoneArc`s; an arc's kind is read from its key.  One integer
-kernel, `_compose_keys`, composes relations (`compose_rel`, `rel_power`)
-and branch families (`branch.next_family`), building no `PLMap` or
-`MonotoneArc`.  The level-1 branch family and the horseshoe kernels read
-only the integer form, and the `arcs` view is built from it on first
-access.
+square; ``rel_equals`` compares their maximal segments on one integer
+lattice, so the particular arc decomposition does not matter.  A
+relation's state is its integer form (`_Lattice`), which one builder makes
+from integer arc keys, those of a curve (`param_graph`, `graph_of`), a
+composition, an inverse or of given `MonotoneArc`s; an arc's kind is read
+from its key.  One integer kernel, `_compose_keys`, composes
+relations (`compose_rel`, `rel_power`) and branch families
+(`branch.next_family`), building no `PLMap` or `MonotoneArc`.  Fibers,
+equality, the level-1 branch family and the horseshoe kernels read only
+the integer form; `arcs` is a view of it, built on first access.
 """
 
 from __future__ import annotations
@@ -39,15 +39,16 @@ from .plmap import (
     _lattice_for,
     _make_checked,
     _merge_collinear,
+    _merged,
     _on_curve,
     _pieces,
     _scaled,
     _slopes,
     _sweep,
+    _value,
     as_rat,
     compose,
     map_equals,
-    merge_intervals,
 )
 
 INC = "inc"
@@ -125,15 +126,6 @@ class MonotoneArc(_MonotoneArc):
             return (VER, self.x, self.ys.lo, self.ys.hi)
         return (self.kind, self.homeo.breakpoints)
 
-    def fiber(self, x: Fraction) -> Optional[Interval]:
-        """The set of y with (x, y) on the arc, or None."""
-        if self.kind == VER:
-            return self.ys if x == self.x else None
-        if self.dom.contains(x):
-            y = self.homeo(x)
-            return Interval(y, y)
-        return None
-
     def image(self, xs: Interval) -> Optional[Interval]:
         """Image of {x in xs} under the arc, as an interval (or None)."""
         if self.kind == VER:
@@ -191,27 +183,21 @@ def _divided(keys: list, nx: int, ny: int) -> _Lattice:
     return _Lattice(nx // gx, ny // gy, keys)
 
 
-def _relation_lattice(keys: list, nx: int, ny: int) -> tuple[_Lattice, list[int]]:
+def _relation_lattice(keys: list, nx: int, ny: int) -> _Lattice:
     """A relation's integer form from arc keys over (nx, ny): deduplicated,
     divided down (`_divided`) and sorted by (dom.lo, dom.hi, ran.lo,
-    ran.hi, kind), ties in order of first appearance.  Also the index in
-    `keys` of each arc kept, in that order."""
-    first: dict = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    if not first:
+    ran.hi, kind), ties in order of first appearance."""
+    keys = list(dict.fromkeys(keys))
+    if not keys:
         raise ValueError("a relation needs at least one arc")
-    lat = _divided(list(first), nx, ny)
 
-    def sort_key(n):  # a monotone arc attains its range at its ends
-        key = lat.keys[n]
+    def sort_key(key):  # a monotone arc attains its range at its ends
         m = len(key) // 2
         y0, y1 = key[m], key[-1]
         return key[0], key[m - 1], min(y0, y1), max(y0, y1), _kind(key)
 
-    order = sorted(range(len(lat.keys)), key=sort_key)
-    index = list(first.values())
-    return lat._replace(keys=[lat.keys[n] for n in order]), [index[n] for n in order]
+    lat = _divided(keys, nx, ny)
+    return lat._replace(keys=sorted(lat.keys, key=sort_key))
 
 
 def _arcs_of(lat: _Lattice) -> tuple[MonotoneArc, ...]:
@@ -236,7 +222,6 @@ def _from_lattice(lat: _Lattice) -> "PLRelation":
     rel = PLRelation.__new__(PLRelation)
     object.__setattr__(rel, "_lattice", lat)
     object.__setattr__(rel, "_arcs", None)
-    object.__setattr__(rel, "_canon", None)
     return rel
 
 
@@ -264,25 +249,23 @@ def _drop_covered_points(keys: list) -> list:
 class PLRelation:
     """Finite union of monotone arcs, with set-level equality semantics.
 
-    Its state is its integer form (`_Lattice`); `arcs` is the view of it
-    as `MonotoneArc`s, the given ones when built from arcs, else built on
-    first access and then kept.
+    Its state is its integer form (`_Lattice`), also when built from
+    arcs; `arcs` is the view of it as `MonotoneArc`s, built on first
+    access and then kept.
     """
 
-    __slots__ = ("_lattice", "_arcs", "_canon")
+    __slots__ = ("_lattice", "_arcs")
 
     def __init__(self, arcs: Iterable[MonotoneArc]):
-        arcs = list(arcs)
         cols = [  # each arc's x's and y's
             ((a.x, a.x), a.ys) if a.kind == VER else tuple(zip(*a.homeo.breakpoints))
             for a in arcs
         ]
         dx, xs = _scaled(*(x for x, _ in cols))
         dy, ys = _scaled(*(y for _, y in cols))
-        lat, index = _relation_lattice([(*x, *y) for x, y in zip(xs, ys)], dx, dy)
+        lat = _relation_lattice([(*x, *y) for x, y in zip(xs, ys)], dx, dy)
         object.__setattr__(self, "_lattice", lat)
-        object.__setattr__(self, "_arcs", tuple(arcs[i] for i in index))
-        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_arcs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PLRelation is immutable")
@@ -301,41 +284,33 @@ class PLRelation:
             object.__setattr__(self, "_arcs", arcs)
         return arcs
 
-    def canonical_segments(self):
-        """The relation as a canonical set of maximal straight segments.
 
-        Segments are grouped by the line they lie on and merged into
-        maximal pieces, and a point arc lying on another arc is dropped
-        (`_drop_covered_points`), so this is a complete invariant of the
-        point set.  The segments are read from the integer form.
-        """
-        canon = object.__getattribute__(self, "_canon")
-        if canon is not None:
-            return canon
-        dx, dy, keys = self._lattice
-        by_line: dict[tuple, list[Interval]] = {}
-        for arc in _drop_covered_points(keys):
-            m = len(arc) // 2
-            pts = [(Fraction(x, dx), Fraction(y, dy)) for x, y in zip(arc[:m], arc[m:])]
-            for (px, py), (qx, qy) in zip(pts, pts[1:]):
-                if px == qx:
-                    key = ("v", px)
-                    span = Interval(min(py, qy), max(py, qy))
-                else:
-                    slope = (qy - py) / (qx - px)
-                    key = ("s", slope, py - slope * px)
-                    span = Interval(min(px, qx), max(px, qx))
-                by_line.setdefault(key, []).append(span)
-        canon = frozenset(
-            (key, tuple(merge_intervals(spans))) for key, spans in by_line.items()
-        )
-        object.__setattr__(self, "_canon", canon)
-        return canon
+def _segments(lat: _Lattice, nx: int, ny: int) -> frozenset:
+    """The point set of an integer form as its maximal straight segments
+    over (nx, ny), multiples of its own, a complete invariant of it: a
+    point on another arc is dropped (`_drop_covered_points`), every segment
+    goes to its line a*x + b*y = c, reduced, with its x-span (its y-span on
+    a vertical line, a point's included), and each line's spans are merged."""
+    sx, sy = nx // lat.dx, ny // lat.dy
+    spans: dict = {}
+    for key in _drop_covered_points(lat.keys):
+        m = len(key) // 2
+        xs, ys = [v * sx for v in key[:m]], [v * sy for v in key[m:]]
+        for px, qx, py, qy in zip(xs, xs[1:], ys, ys[1:]):
+            if px == qx:  # x's increase along a key, and y's along a vertical one
+                spans.setdefault((1, 0, px), []).append((py, qy))
+            else:
+                g = math.gcd(qx - px, qy - py)
+                a, b = (qy - py) // g, (px - qx) // g
+                spans.setdefault((a, b, a * px + b * py), []).append((px, qx))
+    return frozenset((line, tuple(_merged(s))) for line, s in spans.items())
 
 
 def rel_equals(r: PLRelation, s: PLRelation) -> bool:
-    """Equality as subsets of the unit square."""
-    return r.canonical_segments() == s.canonical_segments()
+    """Equality as subsets of the unit square: the same maximal segments
+    (`_segments`) on the lattice of both."""
+    nx, ny = math.lcm(r._lattice.dx, s._lattice.dx), math.lcm(r._lattice.dy, s._lattice.dy)
+    return _segments(r._lattice, nx, ny) == _segments(s._lattice, nx, ny)
 
 
 def rel_union(*relations: PLRelation) -> PLRelation:
@@ -359,7 +334,7 @@ def inverse_rel(rel: PLRelation) -> PLRelation:
     increase."""
     dx, dy, keys = rel._lattice
     swapped = [k[::-1] if _kind(k) == DEC else k[len(k) // 2 :] + k[: len(k) // 2] for k in keys]
-    return _from_lattice(_relation_lattice(swapped, dy, dx)[0])
+    return _from_lattice(_relation_lattice(swapped, dy, dx))
 
 
 def param_graph(f: PLMap, g: PLMap) -> PLRelation:
@@ -404,16 +379,33 @@ def _curve(nx: int, xs: list[int], ny: int, ys: list[int]) -> PLRelation:
             pts = _merge_collinear(pts)
             keys.append(tuple(x for x, _ in pts) + tuple(y for _, y in pts))
         start = end
-    return _from_lattice(_relation_lattice(keys, nx, ny)[0])
+    return _from_lattice(_relation_lattice(keys, nx, ny))
 
 
 def fiber_intervals(rel: PLRelation, x: RatLike) -> list[Interval]:
     """The fiber {y : (x, y) in rel} as merged, possibly degenerate,
-    intervals."""
-    x = as_rat(x)
-    return merge_intervals(
-        fib for arc in rel.arcs if (fib := arc.fiber(x)) is not None
-    )
+    intervals, read from the keys of the arcs that span x: x goes on the
+    lattice 1/L, L = lcm(dx, den x), and y on the least multiple of dy on
+    which every one of their slopes maps 1/L to integers (`_lattice_for`)."""
+    num, den = as_rat(x).as_integer_ratio()
+    dx, dy, keys = rel._lattice
+    halves = [  # of the keys whose x-span holds x = num/den
+        (k[: len(k) // 2], k[len(k) // 2 :])
+        for k in keys
+        if k[0] * den <= num * dx <= k[len(k) // 2 - 1] * den
+    ]
+    lx = math.lcm(dx, den)
+    sx, z = lx // dx, num * (lx // den)
+    ny = _lattice_for(dy, lx, (s for xs, ys in halves for s in _slopes(xs, ys, dx, dy) if s[1]))
+    my = ny // dy
+    spans = []
+    for xs, ys in halves:
+        if xs[0] == xs[-1]:  # a vertical arc or a point
+            spans.append((ys[0] * my, ys[-1] * my))
+        else:
+            y = _value(*_pieces([v * sx for v in xs], [v * my for v in ys]), z)
+            spans.append((y, y))
+    return [Interval(Fraction(lo, ny), Fraction(hi, ny)) for lo, hi in _merged(spans)]
 
 
 def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
@@ -549,7 +541,7 @@ def compose_rel(s: PLRelation, r: PLRelation) -> PLRelation:
     keys = _drop_covered_points(keys + degenerate)
     if not keys:
         raise CompositionError("composition of relations is empty")
-    return _from_lattice(_relation_lattice(keys, nx, ny)[0])
+    return _from_lattice(_relation_lattice(keys, nx, ny))
 
 
 def rel_power(rel: PLRelation, k: int) -> PLRelation:

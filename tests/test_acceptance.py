@@ -99,8 +99,8 @@ def test_criterion_3_branch_calculus(family_arcs):
     assert present(level2, Interval(F(2, 3), F(1)), Interval(F(0), F(3, 4)))
 
     for f, g, n in ((tent(3), tent(2), 3), (tent(5), tent(3), 5)):
-        for k, count, _ in branch_counts(f, g, 8):
-            assert count <= (k + 1) * n**k
+        for b in branch_counts(f, g, 8):
+            assert b.base <= (b.k + 1) * n**b.k
     assert time.perf_counter() - start < 60
 
 
@@ -166,8 +166,8 @@ def test_criterion_7_inverse_limit_estimate_bands():
     diag_rows = entropy_estimate_diagonal(
         diag, depth=8, n_max=6, eps=F(1, 16), grid=F(1, 64)
     )
-    branch_upper = branch_counts(tent(3), tent(2), 6)[-1][2]
-    assert max(r.estimate for r in diag_rows) <= branch_upper + 0.05
+    upper = branch_counts(tent(3), tent(2), 6)[-1]
+    assert max(r.estimate for r in diag_rows) <= math.log(upper.base) / upper.k + 0.05
     assert time.perf_counter() - start < 300
 
 

@@ -53,7 +53,7 @@ def test_initial_family_rejects_non_onto_maps():
 
 def test_level_counts_for_3_2():
     rows = branch_counts(tent(3), tent(2), 8)
-    assert [count for _, count, _ in rows] == [
+    assert [b.base for b in rows] == [
         4, 14, 46, 146, 454, 1394, 4246, 12866,
     ]
 
@@ -66,7 +66,7 @@ def test_branch_counts_build_no_branch_objects(monkeypatch, maps_built):
     maps_built.clear()
     monkeypatch.setattr(plent.branch, "chain", _refuse)
     rows = branch_counts(f, g, 4)
-    assert [count for _, count, _ in rows] == [7, 41, 223, 1169]
+    assert [b.base for b in rows] == [7, 41, 223, 1169]
     assert maps_built == []
 
 
@@ -80,14 +80,14 @@ def test_branch_counts_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows[-1][1] == 154_063
+    assert rows[-1].base == 154_063
     assert peak < 45 * 10**6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_level_counts_respect_combinatorial_ceiling():
     for (f, g, n) in ((tent(3), tent(2), 3), (tent(5), tent(3), 5)):
-        for k, count, _ in branch_counts(f, g, 4):
-            assert count <= (k + 1) * n**k
+        for b in branch_counts(f, g, 4):
+            assert b.base <= (b.k + 1) * n**b.k
 
 
 def test_a_count_over_the_ceiling_raises_certification_error(monkeypatch):
@@ -235,5 +235,5 @@ def test_appendix_block_counts_build_no_branch_objects_and_chain_nothing(monkeyp
     maps_built.clear()
     monkeypatch.setattr(plent.branch, "chain", _refuse)
     rows = branch_counts(f, g, 4)
-    assert [count for _, count, _ in rows] == [7, 32, 157, 782]
+    assert [b.base for b in rows] == [7, 32, 157, 782]
     assert maps_built == []

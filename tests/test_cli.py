@@ -130,8 +130,7 @@ def test_a_count_past_the_gap_fails_bracket_with_a_certification_error(tmp_path,
 
     def past_the_gap(f, g, k_max, cap_arcs=None):
         rows = real(f, g, k_max, cap_arcs=cap_arcs)
-        count = (k_max + 1) * 3**k_max + 1
-        return rows[:-1] + [(k_max, count, math.log(count) / k_max)]
+        return rows[:-1] + [Bound(k_max, (k_max + 1) * 3**k_max + 1, "certified")]
 
     monkeypatch.setattr(plent.entropy, "branch_counts", past_the_gap)
     assert run(tmp_path, "bracket", "--n", "3", "--m", "2", "--kmax", "2") == 2
@@ -181,6 +180,19 @@ def test_invlim_diag_csv_is_pinned(tmp_path):
     assert code == 0
     digest = hashlib.sha256((Path(tmp_path) / "invlim.csv").read_bytes()).hexdigest()
     assert digest == "ff67ffee7290bfd9063bf380a6bc5aae84edaf38e193039ee8f477aa3accb662"
+
+
+def test_entropy_rel_csv_of_an_interval_fiber_relation_is_pinned(tmp_path):
+    """plateau^{-1} o T2 has vertical arcs, so its orbits reach interval
+    fibers and the grid multiples inside them."""
+    code = run(
+        tmp_path, "entropy-rel",
+        "--f", "plateau", "--g", "tent:2", "--mode", "invcomp",
+        "--nmax", "4", "--grid", "1/32", "--eps", "1/8,1/16",
+    )
+    assert code == 0
+    digest = hashlib.sha256((Path(tmp_path) / "entropy_rel.csv").read_bytes()).hexdigest()
+    assert digest == "a778f9a5024fea5c6532880c3a9f6850d039c68a588f5f0efb77678e31f77c73"
 
 
 def test_appendix_subcommand(tmp_path):

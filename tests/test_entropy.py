@@ -22,10 +22,13 @@ from plent.relation import (
     PLRelation,
     compose_rel,
     diagonal,
+    fiber_intervals,
     graph_of,
     inverse_rel,
     param_graph,
+    rel_equals,
     rel_power,
+    strongly_commutes,
 )
 from plent.entropy import (
     HorseshoeCert,
@@ -822,8 +825,7 @@ def _branch_counts_with_last(count_at):
 
     def patched(f, g, k_max, cap_arcs=None):
         rows = real(f, g, k_max, cap_arcs=cap_arcs)
-        count = count_at(k_max)
-        return rows[:-1] + [(k_max, count, math.log(count) / k_max)]
+        return rows[:-1] + [Bound(k_max, count_at(k_max), "certified")]
 
     return patched
 
@@ -860,7 +862,7 @@ def _bracket_to_23(monkeypatch, size, count):
 
     def counts(f, g, k_max, cap_arcs=None):
         cs = [3**k for k in range(1, k_max)] + [count]
-        return [(k, c, math.log(c) / k) for k, c in enumerate(cs, 1)]
+        return [Bound(k, c, "certified") for k, c in enumerate(cs, 1)]
 
     monkeypatch.setattr(plent.entropy, "iterate_horseshoe_bound", horseshoes)
     monkeypatch.setattr(plent.entropy, "branch_counts", counts)
@@ -888,10 +890,12 @@ def test_a_bracket_to_level_23_holds_at_its_edges(monkeypatch, size, count):
 )
 def test_one_past_an_edge_fails_the_bracket_at_level_23(monkeypatch, size, count, message):
     """Each is within 1e-12 of its edge in floats, (1/23) log N against
-    log 3 or log 3 + log(24)/23, so only an exact check sees it."""
+    log 3 or log 3 + log(24)/23, so only an exact check sees it.  The
+    error's `n` is the size of the side at fault: the horseshoe's when it
+    passes the target, else the count."""
     with pytest.raises(CertificationError, match=message) as err:
         _bracket_to_23(monkeypatch, size, count)
-    assert (err.value.level, err.value.n) == (K, count)
+    assert (err.value.level, err.value.n) == (K, size if size > SIZE else count)
 
 
 def test_bracket_rejects_non_coprime_pairs():
@@ -947,6 +951,32 @@ def test_bracket_materializes_no_arc_of_its_curves(monkeypatch):
     report = bracket_theorem_main(3, 2, 6)
     assert [b.k for b in report.lower] == [1, 2, 3, 4, 5, 6]
     assert built == []
+
+
+def test_orbit_counts_and_relation_queries_read_only_the_integer_form(monkeypatch, maps_built):
+    """On the relation of the orbits-23 job, param_graph(tent:2, tent:3):
+    point-set equality, strong commutation, fibers and the orbit counts
+    build no `PLMap` and no arc; `rel_equals` builds no `Fraction`, and
+    `fiber_intervals` only the endpoints it returns."""
+    import plent.relation
+
+    arcs_built, fractions_built = [], []
+    real = plent.relation._arcs_of
+    monkeypatch.setattr(plent.relation, "_arcs_of", lambda lat: arcs_built.append(lat) or real(lat))
+    monkeypatch.setattr(plent.relation, "Fraction", lambda *a: fractions_built.append(a) or F(*a))
+    f, g, identity = tent(2), tent(3), diagonal()
+    maps_built.clear()
+    rel = param_graph(f, g)
+    assert rel_equals(rel, inverse_rel(inverse_rel(rel))) and not rel_equals(rel, identity)
+    assert strongly_commutes(f, g)
+    assert fractions_built == []
+    for x in (F(k, 32) for k in range(33)):
+        fractions_built.clear()
+        fiber = fiber_intervals(rel, x)
+        assert fiber and len(fractions_built) == 2 * len(fiber)
+    rows = entropy_estimate(rel, [F(1, 8), F(1, 16)], 4, F(1, 32))
+    assert [r.n for r in rows] == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert maps_built == [] and arcs_built == [] and rel._arcs is None
 
 
 def test_first_subdivision_pattern_is_the_odd_pieces():

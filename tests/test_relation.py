@@ -145,7 +145,7 @@ def test_arc_order_is_the_fraction_key_order():
         want = sorted(
             seen.values(), key=lambda a: (a.dom.lo, a.dom.hi, a.ran.lo, a.ran.hi, a.kind)
         )
-        assert [id(a) for a in PLRelation(arcs).arcs] == [id(a) for a in want]
+        assert list(PLRelation(arcs).arcs) == want
 
 
 def _arc_points(arc):
@@ -173,7 +173,7 @@ def test_integer_form_holds_every_arc_exactly_on_the_least_lattice(rng, size):
     for arc in arcs:
         seen.setdefault(arc.key(), arc)
     want = sorted(seen.values(), key=lambda a: (a.dom.lo, a.dom.hi, a.ran.lo, a.ran.hi, a.kind))
-    assert [id(a) for a in rel.arcs] == [id(a) for a in want]
+    assert list(rel.arcs) == want
 
 
 # -- inverse and composition -----------------------------------------------------
@@ -272,7 +272,7 @@ def _without_covered_points(arcs):
         p
         for p in arcs
         if p.is_point()
-        and not any((fib := a.fiber(p.x)) is not None and fib.contains(p.ys.lo) for a in solid)
+        and not any((iv := a.image(p.dom)) is not None and iv.contains(p.ys.lo) for a in solid)
     ]
 
 
@@ -313,6 +313,91 @@ def test_compose_rel_is_the_fraction_composition(rng):
             compose_rel(s, r)
     else:
         assert compose_rel(s, r)._lattice == want._lattice
+
+
+def fraction_fiber(rel, x):
+    """The fiber of rel at x in `Fraction`s, `fiber_intervals`'s oracle: the
+    merged images of {x} under every arc."""
+    return merge_intervals(iv for arc in rel.arcs if (iv := arc.image(Interval(x, x))) is not None)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_fiber_intervals_is_the_fraction_fiber(rng):
+    """On random relations mixing points, vertical, horizontal, inc and dec
+    arcs, bent ones included: at every breakpoint, on the 1/48 grid, and at
+    x over 97 dx, off the relation's lattice."""
+    rel = _random_relation(rng)
+    dx = rel._lattice.dx
+    xs = {x for arc in rel.arcs for x, _ in _arc_points(arc)} | {F(k, 48) for k in range(49)}
+    xs |= {F(97 * rng.randint(0, dx - 1) + rng.randint(1, 96), 97 * dx) for _ in range(8)}
+    for x in sorted(xs):
+        assert fiber_intervals(rel, x) == fraction_fiber(rel, x), x
+
+
+def fraction_segments(rel):
+    """The point set of rel as its maximal straight segments in `Fraction`s,
+    `rel_equals`'s oracle: a point on another arc is dropped, and the
+    segments are grouped by their line, x = c or slope and intercept, and
+    merged."""
+    by_line = {}
+    for arc in _without_covered_points(list(rel.arcs)):
+        pts = _arc_points(arc)
+        for (px, py), (qx, qy) in zip(pts, pts[1:]):
+            if px == qx:
+                key, span = ("v", px), Interval(py, qy)
+            else:
+                slope = (qy - py) / (qx - px)
+                key, span = ("s", slope, py - slope * px), Interval(px, qx)
+            by_line.setdefault(key, []).append(span)
+    return frozenset((key, tuple(merge_intervals(spans))) for key, spans in by_line.items())
+
+
+def _split_arcs(rng, rel, odds=0.5):
+    """The arcs of rel, each one not a point split, at these odds, at its
+    point over x = lo + (hi - lo) * j/97 (y for a vertical arc), with that
+    point added as a point arc: the same point set, decomposed otherwise
+    and on a finer lattice."""
+    arcs = []
+    for arc in rel.arcs:
+        if arc.is_point() or rng.random() >= odds:
+            arcs.append(arc)
+            continue
+        t = F(rng.randint(1, 96), 97)
+        if arc.kind == VER:
+            y = arc.ys.lo + arc.ys.length * t
+            arcs += [MonotoneArc.vertical(arc.x, Interval(arc.ys.lo, y)), _point(arc.x, y),
+                     MonotoneArc.vertical(arc.x, Interval(y, arc.ys.hi))]
+        else:
+            x = arc.dom.lo + arc.dom.length * t
+            arcs += [MonotoneArc(arc.kind, homeo=arc.homeo.restrict(arc.dom.lo, x)), _point(x, arc.homeo(x)),
+                     MonotoneArc(arc.kind, homeo=arc.homeo.restrict(x, arc.dom.hi))]
+    rng.shuffle(arcs)
+    return arcs
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_rel_equals_is_the_fraction_point_set_equality(rng):
+    """Against a random relation, or against a split copy of it with a
+    random arc added half the time."""
+    r = _random_relation(rng)
+    s = _random_relation(rng) if rng.random() < 0.3 else PLRelation(_split_arcs(rng, r))
+    if rng.random() < 0.5:
+        s = rel_union(s, PLRelation([_random_arc(rng)]))
+    want = fraction_segments(r) == fraction_segments(s)
+    assert rel_equals(r, s) is want and rel_equals(s, r) is want
+
+
+def test_rel_equals_sees_one_point_set_on_two_lattices():
+    rng = random.Random(4897)
+    finer = 0
+    for _ in range(300):
+        rel = _random_relation(rng)
+        split = PLRelation(_split_arcs(rng, rel, odds=1))
+        assert rel_equals(rel, split) and rel_equals(split, rel)
+        finer += split._lattice.dx != rel._lattice.dx
+    assert finer > 200  # only relations of points and vertical arcs keep their dx
 
 
 def test_compose_of_tent_relations_against_bruteforce_fibers():
@@ -605,7 +690,7 @@ def test_inverse_distributes_over_composition(n, m):
 
 @given(small)
 @settings(max_examples=10, deadline=None)
-def test_canonical_segments_is_stable_under_rebuild(n):
+def test_relation_is_stable_under_rebuild_from_its_arcs(n):
     rel = param_graph(tent(n), tent(2))
     rebuilt = PLRelation(rel.arcs)
-    assert rel.canonical_segments() == rebuilt.canonical_segments()
+    assert rebuilt._lattice == rel._lattice and rel_equals(rel, rebuilt)
