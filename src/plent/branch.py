@@ -6,15 +6,19 @@ level-k arc through a level-1 arc wherever range and domain overlap with
 nonempty interior.  Arcs are deduplicated by canonical form (as point
 sets) before counting, so the family size is a geometric invariant.
 
-Every family is held in the integer form of a relation (`_Lattice`) and
-chained in integers by the relation kernel (`_compose_keys`), whatever the
-number of breakpoints of its arcs.  Families are counts-only: a family keeps
-its arc keys only, and `branch_counts` holds two levels at a time.  `chain`
+A level is held packed: each arc key on one lattice of the level, whatever
+the number of breakpoints of its arc, is one int (`_pack`), kept in one dict
+in the order first met, which deduplicates it.  The level is chained in
+integers by the relation kernel (`_compose_keys`) from its integer form
+(`_Lattice`), which is unpacked, and divided down to the least common
+denominators, only for that.  Families are counts-only: a family keeps its
+packed keys only, and `branch_counts` holds two levels at a time.  `chain`
 composes two arcs in `Fraction`s, independently, as the kernel's reference.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .errors import CertificationError, InvalidFamilyError, ResourceError
@@ -35,15 +39,51 @@ CAP_ARCS = 10**6  # the CLI's default cap on arcs per family; the library has no
 
 
 class BranchFamily:
-    """The level-k arcs, deduplicated as point sets and held only as the
-    keys of their `_Lattice`; the length is the family's count."""
+    """The level-k arcs, deduplicated as point sets.  Each arc key on one
+    lattice (nx, ny) of the level is held as one int (`_pack`), in a dict in
+    the order first met; the length is the family's count.  `_lattice` is
+    its integer form: the keys unpacked in that order and divided down to
+    the least common denominators (`_divided`)."""
+
+    __slots__ = ("level", "_nx", "_ny", "_width", "_packed")
 
     def __init__(self, level: int, lattice: _Lattice):
-        self.level = level
-        self._lattice = lattice
+        width = 1 + max(lattice.dx, lattice.dy, *map(max, lattice.keys))  # above every value
+        self.level, self._nx, self._ny, self._width = level, lattice.dx, lattice.dy, width
+        self._packed = dict.fromkeys(_pack(key, width) for key in lattice.keys)
+
+    @classmethod
+    def _of_packed(cls, level: int, nx: int, ny: int, width: int, packed: dict) -> "BranchFamily":
+        fam = cls.__new__(cls)
+        fam.level, fam._nx, fam._ny, fam._width, fam._packed = level, nx, ny, width, packed
+        return fam
 
     def __len__(self) -> int:
-        return len(self._lattice.keys)
+        return len(self._packed)
+
+    @property
+    def _lattice(self) -> _Lattice:
+        width = self._width
+        return _divided([_unpack(p, width) for p in self._packed], self._nx, self._ny)
+
+
+def _pack(key: tuple[int, ...], width: int) -> int:
+    """The key v_0 ... v_{n-1}, every v < width, as p = 1, then p*width + v
+    for each v: the leading 1 fixes the length."""
+    p = 1
+    for v in key:
+        p = p * width + v
+    return p
+
+
+def _unpack(p: int, width: int) -> tuple[int, ...]:
+    """The key that `_pack` made p of."""
+    key = []
+    while p > 1:
+        p, v = divmod(p, width)
+        key.append(v)
+    key.reverse()
+    return tuple(key)
 
 
 def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
@@ -64,7 +104,7 @@ def initial_branches(f: PLMap, g: PLMap) -> BranchFamily:
         raise InvalidFamilyError(
             "parameterized curve has a flat or vertical arc; no branch family exists"
         )
-    return BranchFamily(1, _divided(keys, lat.dx, lat.dy))
+    return BranchFamily(1, lat._replace(keys=keys))
 
 
 def chain(a: MonotoneArc, b: MonotoneArc) -> Optional[MonotoneArc]:
@@ -85,21 +125,29 @@ def next_family(
 
     The relation kernel (`_compose_keys`) chains every level-k arc through
     every level-1 arc: the same chains of k+1 level-1 arcs as the other way
-    round, each one whose whole chain maps an interval with interior.  The
-    keys, in the order first met, are divided down to the level's least
-    common denominators, so int dedup is exactly point-set dedup.  Past
-    `cap_arcs` arcs a ResourceError carries the cap_arcs + 1 met so far as
-    a family of level k+1.
+    round, each one whose whole chain maps an interval with interior.  Each
+    key, on the kernel's lattice (nx, ny), is packed as it comes (`_pack`,
+    width max(nx, ny) + 1) and kept the first time it is met, so int dedup
+    is exactly point-set dedup.  Past `cap_arcs` arcs a ResourceError
+    carries the cap_arcs + 1 met so far as a family of level k+1.
     """
     if base.level != 1:
         raise InvalidFamilyError("first argument must be the level-1 family")
     level = fam.level + 1
-    try:
-        nx, ny, keys = _compose_keys(base._lattice, fam._lattice, cap_arcs)
-    except ResourceError as err:
-        family = BranchFamily(level, err.partial)
-        raise ResourceError(f"branch family exceeds cap of {cap_arcs} arcs", partial=family)
-    return BranchFamily(level, _divided(keys, nx, ny))
+    nx, ny, keys = _compose_keys(base._lattice, fam._lattice)
+    width = max(nx, ny) + 1
+    limit = math.inf if cap_arcs is None else cap_arcs
+    packed: dict = {}
+    for key in keys:
+        p = 1
+        for v in key:  # `_pack`, inline: a call per key costs ~1 % of `branches-53`
+            p = p * width + v
+        if p not in packed:
+            packed[p] = None
+            if len(packed) > limit:
+                partial = BranchFamily._of_packed(level, nx, ny, width, packed)
+                raise ResourceError(f"branch family exceeds cap of {cap_arcs} arcs", partial=partial)
+    return BranchFamily._of_packed(level, nx, ny, width, packed)
 
 
 def branch_counts(

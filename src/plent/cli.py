@@ -277,7 +277,7 @@ def cmd_appendix(args) -> int:
 CAPS = {
     "breakpoints": (CAP_BREAKPOINTS, "breakpoints per composed map"),
     "orbits": (CAP_ORBITS, "orbits enumerated"),
-    "arcs": (CAP_ARCS, "arcs per branch family; a family costs about 280 bytes per arc at its peak"),
+    "arcs": (CAP_ARCS, "arcs per branch family; a family costs about 210 bytes per arc at its peak"),
 }
 
 

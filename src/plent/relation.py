@@ -18,9 +18,11 @@ from integer arc keys, those of a curve (`param_graph`, `graph_of`), a
 composition, an inverse or of given `MonotoneArc`s; an arc's kind is read
 from its key.  One integer kernel, `_compose_keys`, composes
 relations (`compose_rel`, `rel_power`) and branch families
-(`branch.next_family`), building no `PLMap` or `MonotoneArc`.  Fibers,
-equality, the level-1 branch family and the horseshoe kernels read only
-the integer form; `arcs` is a view of it, built on first access.
+(`branch.next_family`), building no `PLMap` or `MonotoneArc`: it only
+emits the keys it meets, and each caller deduplicates them, `compose_rel`
+as tuples and `next_family` as packed ints.  Unions, fibers, equality, the
+level-1 branch family and the horseshoe kernels read only the integer
+form; `arcs` is a view of it, built on first access.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import CompositionError, ResourceError, UnsupportedRelationError
+from .errors import CompositionError, UnsupportedRelationError
 from .plmap import (
     Interval,
     PLMap,
@@ -314,7 +316,18 @@ def rel_equals(r: PLRelation, s: PLRelation) -> bool:
 
 
 def rel_union(*relations: PLRelation) -> PLRelation:
-    return PLRelation([arc for rel in relations for arc in rel.arcs])
+    """The union of the relations: the keys of all of them, each put on
+    the lattice (nx, ny) of the least common multiples of their own."""
+    nx = math.lcm(*(rel._lattice.dx for rel in relations))
+    ny = math.lcm(*(rel._lattice.dy for rel in relations))
+    keys = []
+    for dx, dy, own in (rel._lattice for rel in relations):
+        sx, sy = nx // dx, ny // dy
+        keys += [
+            tuple([v * sx for v in k[: len(k) // 2]] + [v * sy for v in k[len(k) // 2 :]])
+            for k in own
+        ]
+    return _from_lattice(_relation_lattice(keys, nx, ny))
 
 
 def graph_of(f: PLMap) -> PLRelation:
@@ -420,11 +433,22 @@ def _chained_key(za, fa, zb, fb, zlo: int, zhi: int) -> tuple[int, ...]:
     return tuple(x for x, _ in pts) + tuple(y for _, y in pts)
 
 
+def _rises(keys: Iterable[tuple[int, ...]]) -> set[tuple[int, int]]:
+    """The distinct (rise in x, rise in y) of the segments of the keys."""
+    return {
+        (k[i + 1] - k[i], k[m + i + 1] - k[m + i])
+        for k in keys
+        for m in [len(k) // 2]
+        for i in range(m - 1)
+    }
+
+
 def _compose_keys(
-    outer: _Lattice, inner: _Lattice, cap_arcs: int | None = None, degenerate: list | None = None
-) -> tuple[int, int, list]:
+    outer: _Lattice, inner: _Lattice, degenerate: list | None = None
+) -> tuple[int, int, Iterator[tuple[int, ...]]]:
     """The arcs of outer o inner as keys over (nx, ny), the one kernel that
-    composes relations and branch families.
+    composes relations and branch families: nx, ny and an iterator over the
+    keys, in the order met, repeats included (its callers deduplicate).
 
     Each inner arc a, in order, meets each outer arc b, in order, on the
     shared axis as the integer Z = z*L, L = lcm(inner.dy, outer.dx).  nx is
@@ -432,19 +456,18 @@ def _compose_keys(
     maps the integers Z to integers, ny likewise for outer.dy and b
     (`_lattice_for`).  A strictly monotone a over an overlap with interior
     gives one arc, in closed form when a and b have two points each, else by
-    `_chained_key`; these come back deduplicated in the order first met, and
-    past `cap_arcs` of them a ResourceError carries them as `partial`.  The
-    arc of every other overlap goes to the list `degenerate`, if given.
+    `_chained_key`.  The arc of every other overlap goes to the list
+    `degenerate`, if given, as the iterator meets it.
     """
     shared = math.lcm(inner.dy, outer.dx)
     si, so = shared // inner.dy, shared // outer.dx
-    # a vertical segment has no finite slope (den 0) and maps no Z range
-    inverses = ((k[len(k) // 2 :], k[: len(k) // 2]) for k in inner.keys)
-    inv_slopes = (s for y, x in inverses for s in _slopes(y, x, inner.dy, inner.dx) if s[1])
+    # the slopes of every a^{-1} and every b; a vertical segment has no
+    # finite slope (den 0) and maps no Z range
+    inv_slopes = ((rx * inner.dy, ry * inner.dx) for rx, ry in _rises(inner.keys) if ry)
     nx = _lattice_for(inner.dx, shared, inv_slopes)
-    halves = [(k[: len(k) // 2], k[len(k) // 2 :]) for k in outer.keys]
-    slopes = (s for x, y in halves for s in _slopes(x, y, outer.dx, outer.dy) if s[1])
+    slopes = ((ry * outer.dx, rx * outer.dy) for rx, ry in _rises(outer.keys) if rx)
     ny = _lattice_for(outer.dy, shared, slopes)
+    halves = [(k[: len(k) // 2], k[len(k) // 2 :]) for k in outer.keys]
     mx, my = nx // inner.dx, ny // outer.dy
     # each b as (lo, hi, w0, cb, zs, pieces, wlo, whi) on Z: y = w0 + Z*cb,
     # wlo at lo and whi at hi, when b has one piece, else w0 is None; a
@@ -459,59 +482,53 @@ def _compose_keys(
             zb, fb = _pieces([x * so for x in xs], yb)
             one = fb[0] if len(fb) == 1 else (None, None)
             rows.append((zb[0], zb[-1], *one, zb, fb, yb[0], yb[-1]))
-    limit = math.inf if cap_arcs is None else cap_arcs
-    seen: set = set()
-    out: list = []
-    for arc in inner.keys:
-        straight = len(arc) == 4
-        if straight:
-            x0, x1, y0, y1 = arc
-            if x0 == x1 or y0 == y1:  # a vertical arc, a point or a horizontal arc
-                for row in rows if degenerate is not None else ():
-                    lo, hi = max(y0 * si, row[0]), min(y1 * si, row[1])
-                    if lo <= hi:
-                        degenerate.append(_flat_key(x0 * mx, x1 * mx, row, lo, hi, nx, ny))
-                continue
-            # a^{-1} maps Z on a's range to x = u0 + Z*ca over nx, xlo at
-            # alo and xhi at ahi
-            ca = _exact(nx * (x1 - x0) * inner.dy, shared * (y1 - y0) * inner.dx)
-            xlo, xhi = x0 * mx, x1 * mx
-            u0 = xlo - y0 * si * ca
-            alo, ahi = y0 * si, y1 * si
-            if ca < 0:
-                alo, ahi, xlo, xhi = ahi, alo, xhi, xlo
-            za, fa = (alo, ahi), ((u0, ca),)
-        else:
-            m = len(arc) // 2
-            za, fa = _pieces([y * si for y in arc[m:]], [x * mx for x in arc[:m]])
-            alo, ahi = za[0], za[-1]
-        for row in rows:
-            blo, bhi, w0, cb, zb, fb, wlo, whi = row
-            zlo = alo if alo > blo else blo
-            zhi = ahi if ahi < bhi else bhi
-            if zlo >= zhi:
-                if degenerate is not None and zlo == zhi:
-                    (x,) = _sweep(za, fa, (zlo,))
-                    degenerate.append(_flat_key(x, x, row, zlo, zlo, nx, ny))
-                continue
-            if straight and w0 is not None:
-                # each end of the overlap is an end of a's range or of b's
-                # domain, so the key shares the ends' ints a and b hold
-                u = xlo if zlo == alo else u0 + zlo * ca
-                v = xhi if zhi == ahi else u0 + zhi * ca
-                w = wlo if zlo == blo else w0 + zlo * cb
-                z = whi if zhi == bhi else w0 + zhi * cb
-                key = (u, v, w, z) if ca > 0 else (v, u, z, w)
+    cnum, cden = nx * inner.dy, shared * inner.dx
+
+    def met():
+        for arc in inner.keys:
+            straight = len(arc) == 4
+            if straight:
+                x0, x1, y0, y1 = arc
+                if x0 == x1 or y0 == y1:  # a vertical arc, a point or a horizontal arc
+                    for row in rows if degenerate is not None else ():
+                        lo, hi = max(y0 * si, row[0]), min(y1 * si, row[1])
+                        if lo <= hi:
+                            degenerate.append(_flat_key(x0 * mx, x1 * mx, row, lo, hi, nx, ny))
+                    continue
+                # a^{-1} maps Z on a's range to x = u0 + Z*ca over nx, xlo at
+                # alo and xhi at ahi
+                ca = _exact(cnum * (x1 - x0), cden * (y1 - y0))
+                xlo, xhi = x0 * mx, x1 * mx
+                alo, ahi = y0 * si, y1 * si
+                u0 = xlo - alo * ca
+                if ca < 0:
+                    alo, ahi, xlo, xhi = ahi, alo, xhi, xlo
+                za, fa = (alo, ahi), ((u0, ca),)
             else:
-                key = _chained_key(za, fa, zb, fb, zlo, zhi)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-                if len(out) > limit:
-                    raise ResourceError(
-                        f"composition exceeds cap {cap_arcs}", partial=_divided(out, nx, ny)
-                    )
-    return nx, ny, out
+                m = len(arc) // 2
+                za, fa = _pieces([y * si for y in arc[m:]], [x * mx for x in arc[:m]])
+                alo, ahi = za[0], za[-1]
+            for row in rows:
+                blo, bhi, w0, cb, zb, fb, wlo, whi = row
+                zlo = alo if alo > blo else blo
+                zhi = ahi if ahi < bhi else bhi
+                if zlo >= zhi:
+                    if degenerate is not None and zlo == zhi:
+                        (x,) = _sweep(za, fa, (zlo,))
+                        degenerate.append(_flat_key(x, x, row, zlo, zlo, nx, ny))
+                    continue
+                if straight and w0 is not None:
+                    # each end of the overlap is an end of a's range or of b's
+                    # domain, so the key shares the ends' ints a and b hold
+                    u = xlo if zlo == alo else u0 + zlo * ca
+                    v = xhi if zhi == ahi else u0 + zhi * ca
+                    w = wlo if zlo == blo else w0 + zlo * cb
+                    z = whi if zhi == bhi else w0 + zhi * cb
+                    yield (u, v, w, z) if ca > 0 else (v, u, z, w)
+                else:
+                    yield _chained_key(za, fa, zb, fb, zlo, zhi)
+
+    return nx, ny, met()
 
 
 def _flat_key(u: int, v: int, row: tuple, lo: int, hi: int, nx: int, ny: int) -> tuple[int, ...]:
@@ -537,7 +554,8 @@ def compose_rel(s: PLRelation, r: PLRelation) -> PLRelation:
     every point kept: a degenerate overlap gives a point arc, dropped only
     when it lies on another arc of the result (`_drop_covered_points`)."""
     degenerate: list = []
-    nx, ny, keys = _compose_keys(s._lattice, r._lattice, degenerate=degenerate)
+    nx, ny, keys = _compose_keys(s._lattice, r._lattice, degenerate)
+    keys = list(keys)  # running the kernel fills `degenerate`
     keys = _drop_covered_points(keys + degenerate)
     if not keys:
         raise CompositionError("composition of relations is empty")

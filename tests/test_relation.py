@@ -115,6 +115,25 @@ def test_rel_union_deduplicates():
     assert rel_equals(rel_union(g, g), g)
 
 
+def test_rel_union_builds_no_arc_view(monkeypatch):
+    """The union is made from the operands' integer forms, so it builds no
+    `arcs` view, and it is the relation of all their arcs, on any lattices."""
+    import plent.relation
+
+    built = []
+    real = plent.relation._arcs_of
+    monkeypatch.setattr(plent.relation, "_arcs_of", lambda lat: built.append(lat) or real(lat))
+    g, h = graph_of(tent(2)), graph_of(tent(3))
+    assert rel_union(g, g)._lattice == g._lattice
+    assert built == []
+    assert rel_union(g, h)._lattice == PLRelation(g.arcs + h.arcs)._lattice
+    rng = random.Random(5113)
+    for _ in range(100):
+        rels = [_random_relation(rng) for _ in range(rng.randint(1, 3))]
+        want = PLRelation([arc for rel in rels for arc in rel.arcs])
+        assert rel_union(*rels)._lattice == want._lattice
+
+
 def _random_arc(rng):
     """An arc of a random kind over a small denominator, so that equal
     domains, equal ranges and duplicate arcs are common.  A point is a
