@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .branch import branch_counts
@@ -363,17 +364,39 @@ def _lattice(rel: PLRelation, ivs: Sequence[Interval]) -> tuple[int, int]:
     return _lattice_for(math.lcm(dx, ry), dx, slopes), dx
 
 
+def _covers(imgs: list[tuple[int, int]], los: list[int], his: list[int]) -> bool:
+    """Whether the images (lo, hi) of one source cover every target: each
+    target lies in at most one merged component, so they are covered iff
+    the per-component counts of targets inside sum to their number."""
+    if not imgs:
+        return False
+    imgs.sort()
+    covered = 0
+    lo, hi = imgs[0]
+    for ylo, yhi in imgs:
+        if ylo > hi:
+            covered += max(0, bisect_right(his, hi) - bisect_left(los, lo))
+            lo, hi = ylo, yhi
+        elif yhi > hi:
+            hi = yhi
+    covered += max(0, bisect_right(his, hi) - bisect_left(los, lo))
+    return covered == len(los)
+
+
 def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     """Exact check: intervals pairwise disjoint and nondegenerate, and every
     interval's image under the relation covers their union.
 
-    The check runs in integer arithmetic on two lattices (see `_lattice`):
-    x-coordinates on 1/Dx, y-coordinates and targets on 1/D.  The arcs are
-    the relation's integer form scaled up; only the interval endpoints are
-    converted.  Each arc that meets a source is put in `_pieces` form, which
-    checks once per segment that it rises by an integer per 1/Dx step (a
-    remainder raises ArithmeticError, nothing is rounded), and `_sweep`
-    reads its values at the source endpoints, clipped to its domain.
+    It runs in integers on two lattices (`_lattice`): x on 1/Dx, y and the
+    targets on 1/D; only the interval endpoints are converted.  The arcs are
+    read in one sweep by the left end x0 of their x-span.  Each that meets a
+    source is put in `_pieces` form, which checks once per segment that it
+    rises by an integer per 1/Dx step (a remainder raises ArithmeticError,
+    nothing is rounded), and `_sweep` reads it at the source endpoints,
+    clipped to its domain.  A source holds one image (lo, hi) per arc read
+    so far that meets it.  Before an arc is read, each source ending left of
+    its x0 is finished: no later arc meets it, so its images are counted
+    (`_covers`) and dropped, and the first one left uncovered returns False.
     """
     ivs = sorted(intervals, key=lambda iv: iv.lo)
     if len(ivs) < 2 or any(iv.is_point() for iv in ivs):
@@ -387,54 +410,34 @@ def verify_horseshoe(rel: PLRelation, intervals: Sequence[Interval]) -> bool:
     xlos, xhis = ends[::2], ends[1::2]
     up = d // dx
     los, his = [v * up for v in xlos], [v * up for v in xhis]
-    n = len(ivs)
     mx, my = dx // rel._lattice.dx, _exact(d, rel._lattice.dy)
-    # bucket each arc's image by the source intervals its domain meets;
-    # one pass over the arcs instead of one per source interval
-    images: list[list[tuple[int, int]]] = [[] for _ in ivs]
-    for key in rel._lattice.keys:
-        kind = _kind(key)
-        if kind == VER:
-            x = key[0] * mx
-            i = bisect_right(xlos, x) - 1
-            if i >= 0 and x <= xhis[i]:
-                images[i].append((key[2] * my, key[3] * my))
-            continue
+    images: list = [[] for _ in ivs]  # a finished source's is None
+    done = 0  # the sources before it are finished
+    for key in sorted(rel._lattice.keys, key=itemgetter(0)):
         m = len(key) // 2
-        xs = [x * mx for x in key[:m]]
-        ys = [y * my for y in key[m:]]
-        # the sources meeting [xs[0], xs[-1]] are i..j-1; their endpoints,
-        # clipped to it, in increasing order
-        i = bisect_left(xhis, xs[0])
-        j = bisect_right(xlos, xs[-1])
+        x0, x1 = key[0] * mx, key[m - 1] * mx
+        while done < len(ivs) and xhis[done] < x0:
+            if not _covers(images[done], los, his):
+                return False
+            images[done] = None
+            done += 1
+        # the sources meeting [x0, x1] are i..j-1
+        i, j = bisect_left(xhis, x0), bisect_right(xlos, x1)
         if i == j:
             continue
+        kind = _kind(key)
+        if kind == VER:
+            images[i].append((key[2] * my, key[3] * my))
+            continue
+        # their endpoints, clipped to [x0, x1], in increasing order
         pts = ends[2 * i : 2 * j]
-        pts[0] = max(pts[0], xs[0])
-        pts[-1] = min(pts[-1], xs[-1])
-        vals = _sweep(*_pieces(xs, ys), pts)
+        pts[0], pts[-1] = max(pts[0], x0), min(pts[-1], x1)
+        vals = _sweep(*_pieces([x * mx for x in key[:m]], [y * my for y in key[m:]]), pts)
         # a monotone arc maps each source's (lo, hi) in order or reversed
         pairs = zip(vals[1::2], vals[::2]) if kind == DEC else zip(vals[::2], vals[1::2])
         for img, pair in zip(images[i:j], pairs):
             img.append(pair)
-    # every target lies in at most one merged component, so the targets
-    # are covered iff the per-component counts of targets inside sum to n
-    for imgs in images:
-        if not imgs:
-            return False
-        imgs.sort()
-        covered = 0
-        lo, hi = imgs[0]
-        for ylo, yhi in imgs:
-            if ylo > hi:
-                covered += max(0, bisect_right(his, hi) - bisect_left(los, lo))
-                lo, hi = ylo, yhi
-            elif yhi > hi:
-                hi = yhi
-        covered += max(0, bisect_right(his, hi) - bisect_left(los, lo))
-        if covered != n:
-            return False
-    return True
+    return all(_covers(imgs, los, his) for imgs in images[done:])
 
 
 def _subdivision_patterns(j: Interval, n: int):

@@ -7,12 +7,17 @@ as a pass/fail checklist.
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import plent
 from plent.plmap import Bound, Interval, at_most, compose, identity_map, iterate, map_equals
 from plent.families import (
     appendix_pair,
@@ -123,6 +128,39 @@ def test_criterion_4_entropy_bracketing():
     assert lo5.k == hi5.k == 5
     assert at_most(lo5, report53.target) and at_most(report53.target, hi5)
     assert time.perf_counter() - start < 300
+
+
+# run in a fresh interpreter, which prints its own peak: the ru_maxrss that
+# wait4 reports starts at the peak of the process that spawned it
+_PEAK_CHILD = """
+import sys
+from plent.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_criterion_4_bracket_memory_stays_small(tmp_path):
+    """`bracket --n 3 --m 2 --kmax 8` peaks below 64 MiB (VmHWM).  It peaks
+    at about 24 MiB on Python 3.11, since each horseshoe check holds only the
+    images of the sources an unread arc can reach; it was 130 MiB while
+    every (arc, source) image was held to the end of the check."""
+    start = time.perf_counter()
+    src = str(Path(plent.__file__).resolve().parents[1])
+    argv = ["bracket", "--n", "3", "--m", "2", "--kmax", "8", "--out", str(tmp_path)]
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    peak_kib = int(out.stdout.split()[-1])
+    digest = hashlib.sha256((tmp_path / "bracket.json").read_bytes()).hexdigest()
+    assert digest == "7ca00ade2a1d876fc3ea4d58bd92daf2324789408967b4a8ef0f59e5dbf92f2c"
+    assert peak_kib < 64 * 1024, f"peak {peak_kib / 1024:.1f} MiB"
+    assert time.perf_counter() - start < 30
 
 
 def test_criterion_5_lap_growth_estimates():
