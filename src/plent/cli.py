@@ -19,19 +19,17 @@ from typing import NamedTuple
 
 from . import serialize
 from .blocks import appendix_system, level_report
-from .branch import CAP_ARCS, BranchFamily, branch_counts
+from .branch import CAP_ARCS, branch_counts
 from .entropy import (
     CAP_ORBITS,
-    OrbitSet,
     bracket_theorem_main,
     entropy_estimate,
     find_horseshoe,
     verify_horseshoe,
 )
-from .errors import ParseError
 from .families import parse_family, tent
 from .invlim import DiagonalSystem, check_diagonal_compat, entropy_estimate_diagonal
-from .plmap import CAP_BREAKPOINTS, Bound, LapGrowth, PLMap, at_most, entropy_lap_growth
+from .plmap import CAP_BREAKPOINTS, Bound, PLMap, at_most, entropy_lap_growth
 from .relation import (
     PLRelation,
     compose_rel,
@@ -390,9 +388,9 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
     try:
         config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
-        raise ParseError(f"config file: {err}") from err
+        ap.error(f"config file: {err}")
     if not isinstance(config, dict):
-        raise ParseError("config file: expected a JSON object")
+        ap.error("config file: expected a JSON object")
     tokens = [_config_token(key, value) for key, value in config.items()]
     return ap.parse_args([argv[0], *tokens, *argv[1:]])
 
@@ -424,20 +422,6 @@ def _check_usage(args: argparse.Namespace) -> None:
         args.parser.error(f"{args.command} {used} needs the second map --g")
 
 
-def _partial_size(partial) -> dict:
-    """The size of the partial result that a cap's `ResourceError` carries,
-    for failure.json: the arcs and level of a branch family, the orbits of
-    an orbit set, the terms of a lap growth.  (len() of the two records
-    would count their fields.)"""
-    if isinstance(partial, BranchFamily):
-        return {"partial_size": len(partial), "partial_level": partial.level}
-    if isinstance(partial, OrbitSet):
-        return {"partial_size": len(partial.orbits)}
-    if isinstance(partial, LapGrowth):
-        return {"partial_size": len(partial.terms)}
-    return {}
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = _apply_config(ap, list(sys.argv[1:] if argv is None else argv))
@@ -448,7 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(getattr(args, "out", "plent-out"))
         out.mkdir(parents=True, exist_ok=True)
         report = {"command": args.command, "error": type(err).__name__, "message": str(err)}
-        report.update(_partial_size(getattr(err, "partial", None)))
+        for key in ("partial_size", "partial_level"):  # the size of a cap's partial result
+            if getattr(err, key, None) is not None:
+                report[key] = getattr(err, key)
         (out / "failure.json").write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report), file=sys.stderr)
         return 2

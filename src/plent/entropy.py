@@ -20,9 +20,10 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .branch import branch_counts
 from .errors import CertificationError, CompositionError, ResourceError
+from .families import tent
 from .plmap import (
-    Bound, Interval, _exact, _lattice_for, _on_lattice, _pieces, _scaled, _slopes, _sweep, as_rat,
-    at_most, compose,
+    Bound, Interval, _exact, _iterates, _lattice_for, _on_lattice, _pieces, _scaled, _slopes,
+    _sweep, as_rat, at_most,
 )
 from .relation import (
     DEC,
@@ -98,6 +99,7 @@ def _orbit_levels(
                 raise ResourceError(
                     f"orbit count exceeds cap {cap_orbits}",
                     partial=OrbitSet(m, grid, tuple(nxt)),
+                    partial_size=len(nxt),
                 )
         level = nxt
         yield level, starts
@@ -204,8 +206,8 @@ def _max_independent(nodes: list[int], adj: list[set[int]]) -> int:
     """Exact maximum independent set size (branch and bound)."""
     if not nodes:
         return 0
-    v = max(nodes, key=lambda u: len(adj[u] & set(nodes)))
     live = set(nodes)
+    v = max(nodes, key=lambda u: len(adj[u] & live))
     neighbors = adj[v] & live
     if not neighbors:
         # v is isolated among the remaining nodes
@@ -612,37 +614,30 @@ def bracket_theorem_main(
     Lower bounds come from exactly verified floor((max^k + 1)/2)-horseshoes
     of the iterated curve, upper bounds from deduplicated branch counts, and
     `at_most` checks N_k <= max^k <= |family_k| <= (k+1) max^k at every k.
-    The k-th curve is built from the (k-1)-th iterates, one `compose` per
-    map, each capped at `cap_breakpoints`.  The first level without a
-    horseshoe raises CertificationError, before the next curve is built, and
-    so does a horseshoe or a branch count that misses the bracket, or a
-    count past its gap, with the size at fault as `n`.
+    The k-th curve is built only when level k is reached, from the k-th
+    iterates (`_iterates`), each capped at `cap_breakpoints`.  The first
+    level without a horseshoe raises CertificationError, before the next
+    curve is built, and so does a horseshoe or a branch count that misses
+    the bracket, or a count past its gap, with the size at fault as `n`.
     """
     if math.gcd(n, m) != 1:
         raise CompositionError("tent parameters must be coprime")
-    from .families import tent  # local import to avoid a cycle
-
     f, g = tent(m), tent(n)
     if not strongly_commutes(f, g):
         raise CompositionError("tent pair unexpectedly fails strong commutation")
     big = max(n, m)
     target = Bound(1, big, "theorem")
-
-    fk, gk = f, g
-
-    def power(k: int) -> PLRelation:
-        # called for k = 1, 2, ... in turn, so (fk, gk) holds the (k-1)-th
-        # iterates and only the latest pair is kept
-        nonlocal fk, gk
-        if k > 1:
-            fk = compose(f, fk, cap_breakpoints=cap_breakpoints)
-            gk = compose(g, gk, cap_breakpoints=cap_breakpoints)
-        return param_graph(fk, gk)
+    curves = (
+        param_graph(fk, gk)
+        for fk, gk in zip(_iterates(f, cap_breakpoints), _iterates(g, cap_breakpoints))
+    )
 
     def size(k: int) -> int:
         return (big**k + 1) // 2
 
-    lower = tuple(iterate_horseshoe_bound(k_max, power, candidates=lambda k: [size(k)]))
+    lower = tuple(
+        iterate_horseshoe_bound(k_max, lambda k: next(curves), candidates=lambda k: [size(k)])
+    )
     if len(lower) < k_max:
         k = len(lower) + 1
         raise CertificationError(

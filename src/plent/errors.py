@@ -58,12 +58,17 @@ class DepthExhaustedError(RuntimeError):
 class ResourceError(RuntimeError):
     """A configured cap (breakpoints, orbits, arcs) was exceeded.
 
-    ``partial`` holds whatever result had been computed so far.
+    ``partial`` holds whatever result had been computed so far, and
+    ``partial_size`` its size (arcs, orbits or lap-growth terms), with
+    ``partial_level``, the level of a branch family; None where there is
+    none.
     """
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial=None, partial_size=None, partial_level=None):
         super().__init__(message)
         self.partial = partial
+        self.partial_size = partial_size
+        self.partial_level = partial_level
 
 
 class ParseError(ValueError):

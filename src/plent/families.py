@@ -141,10 +141,6 @@ def _assemble(blocks: Sequence[PLMap]) -> PLMap:
     return PLMap(pts)
 
 
-def _identity_on(a: Fraction, b: Fraction) -> PLMap:
-    return PLMap([(a, a), (b, b)])
-
-
 def appendix_pair(
     k: int, n_seq: Sequence[int], s: RatLike, _check: bool = True
 ) -> tuple[PLMap, PLMap]:
@@ -174,15 +170,15 @@ def appendix_pair(
     g_blocks.append(block_rescale(k + 1, middle_third_tilde(tent(2 * n_seq[k - 1] + 1))))
     g_blocks.append(block_rescale(k + 2, plateau_map()))
     tail = block_interval(k + 2).hi
-    g_blocks.append(_identity_on(tail, Fraction(1)))
+    g_blocks.append(identity_map(Interval(tail, Fraction(1))))
     g = _assemble(g_blocks)
 
-    f_blocks = [_identity_on(Fraction(0), block_interval(k).hi)]
+    f_blocks = [identity_map(Interval(Fraction(0), block_interval(k).hi))]
     f_blocks.append(
         block_rescale(k + 1, middle_third_tilde(shifted_fold(2 * n_seq[k - 1] + 1)))
     )
     f_blocks.append(block_rescale(k + 2, plateau_map()))
-    f_blocks.append(_identity_on(tail, Fraction(1)))
+    f_blocks.append(identity_map(Interval(tail, Fraction(1))))
     f = _assemble(f_blocks)
 
     if _check and len(n_seq) >= k + 1:

@@ -9,8 +9,9 @@ and an integer (w, c) per segment, with value w + z*c, and `_sweep`
 reads it at increasing points (`_value` at one).  The private helpers
 that other modules import are those three, the lattice helpers
 (`_on_lattice`, `_scaled`, `_slopes`, `_lattice_for`, `_exact`),
-`_on_curve`, `_merge_collinear`, `_merged` (the union of closed spans) and
-the records' `_make_checked`; none defines its own.  Every certified
+`_on_curve`, `_merge_collinear`, `_merged` (the union of closed spans),
+`_iterates` (the one routine of map iterates) and the records'
+`_make_checked`; none defines its own.  Every certified
 entropy value of the package is a `Bound`, (1/k) log base held exactly,
 and `at_most` is the one comparison of two; the only floats are the
 lap-growth estimates at the very end, logarithms of exact integers.
@@ -21,7 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from itertools import accumulate, islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     CompositionError,
@@ -392,30 +394,29 @@ def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
     lattice 1/shared, f's values on 1/fy.  The breakpoints of f o g are g's own
     and, on every sloped segment of g, the preimages of the nodes of f
     strictly inside its range, where the value is the node's value; so f
-    is evaluated only at g's breakpoints.  The result lies on (1/nx, 1/ny),
-    the least multiples of gx and fy on which every inverse slope of g and
-    every slope of f maps the integers of 1/shared to integers (`_lattice_for`):
-    every coordinate is an exact integer, a remainder raises.
+    is read only at g's values and at its own nodes, in one sweep
+    (`_on_curve`).  The result lies on (1/nx, 1/ny), the least multiples of
+    gx and fy on which every inverse slope of g and every slope of f maps
+    the integers of 1/shared to integers (`_lattice_for`): every coordinate
+    is an exact integer, a remainder raises.
     """
     gpts, fpts = g.breakpoints, f.breakpoints
     gx, (gxs,) = _scaled([x for x, _ in gpts])
     shared, (gus, fus) = _scaled([y for _, y in gpts], [x for x, _ in fpts])
-    fy, (fys,) = _scaled([y for _, y in fpts])
     if not (fus[0] <= min(gus) and max(gus) <= fus[-1]):
         raise CompositionError(
             f"range {g.range} of inner map not contained in domain {f.domain} of outer map"
         )
+    ny, vals = _on_curve(f, shared, gus + fus)
+    gvals, fvals = vals[: len(gus)], vals[len(gus) :]  # f at g's values, at f's nodes
     gsteps = [(gxs[k + 1] - gxs[k], gus[k + 1] - gus[k]) for k in range(len(gxs) - 1)]
-    fslopes = _slopes(fus, fys, shared, fy)
     ginv = [s for s in _slopes(gus, gxs, shared, gx) if s[1]]  # slopes of g's inverse, no flat ones
     nx = _lattice_for(gx, shared, ginv)
-    ny = _lattice_for(fy, shared, fslopes)
-    mx, my = nx // gx, ny // fy
-    fzs, fpieces = _pieces(fus, [y * my for y in fys])
+    mx = nx // gx
     xs, ys = [], []
-    for x0, u0, (dx, du) in zip(gxs, gus, gsteps):
+    for x0, u0, y0, (dx, du) in zip(gxs, gus, gvals, gsteps):
         xs.append(x0 * mx)
-        ys.append(_value(fzs, fpieces, u0))
+        ys.append(y0)
         if not du:
             continue
         c = _exact(mx * dx, du)
@@ -425,9 +426,9 @@ def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
             nodes = range(bisect_left(fus, u0) - 1, bisect_right(fus, u0 + du) - 1, -1)
         for j in nodes:
             xs.append(x0 * mx + (fus[j] - u0) * c)
-            ys.append(fys[j] * my)
+            ys.append(fvals[j])
     xs.append(gxs[-1] * mx)
-    ys.append(_value(fzs, fpieces, gus[-1]))
+    ys.append(gvals[-1])
     if cap_breakpoints is not None and len(xs) > cap_breakpoints:
         raise ResourceError(
             f"composition would have {len(xs)} breakpoints (cap {cap_breakpoints})"
@@ -441,16 +442,20 @@ def compose(f: PLMap, g: PLMap, cap_breakpoints: int | None = None) -> PLMap:
     return PLMap._from_canonical(tuple((Fraction(x, nx), yq[y]) for x, y in pts))
 
 
+def _iterates(f: PLMap, cap_breakpoints: int | None = None) -> Iterator[PLMap]:
+    """f, f^2, f^3, ...: each iterate is one `compose` of f after the one
+    before, capped at `cap_breakpoints`, and is built only when it is asked
+    for.  A map that does not send its domain into itself raises at the call."""
+    if not f.domain.contains_interval(f.range):
+        raise CompositionError("map does not send its domain into itself")
+    return accumulate(repeat(f), lambda fk, _: compose(f, fk, cap_breakpoints=cap_breakpoints))
+
+
 def iterate(f: PLMap, k: int, cap_breakpoints: int | None = None) -> PLMap:
     """k-fold composition of f with itself (k >= 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not f.domain.contains_interval(f.range):
-        raise CompositionError("map does not send its domain into itself")
-    acc = f
-    for _ in range(k - 1):
-        acc = compose(f, acc, cap_breakpoints=cap_breakpoints)
-    return acc
+    return next(islice(_iterates(f, cap_breakpoints), k - 1, None))
 
 
 def map_equals(f: PLMap, g: PLMap) -> bool:
@@ -510,20 +515,16 @@ def entropy_lap_growth(
     When f has constant absolute slope s, the entropy is exactly
     log max(1, s) and is reported in `exact` without iterating.
     """
-    if not f.domain.contains_interval(f.range):
-        raise CompositionError("map does not send its domain into itself")
+    maps = _iterates(f, cap_breakpoints)
     s = constant_slope(f)
     exact = None if s is None else Bound(1, max(s, ONE), "exact")
     terms: list[float] = []
-    g = f
-    for n in range(1, n_max + 1):
-        try:
-            if n > 1:
-                g = compose(f, g, cap_breakpoints=cap_breakpoints)
-        except ResourceError as err:
-            raise ResourceError(
-                str(err), partial=LapGrowth(tuple(terms), exact)
-            ) from err
-        growth = g.lap_count() - 1
-        terms.append(math.log(growth) / n if growth > 1 else 0.0)
+    try:
+        for n, g in zip(range(1, n_max + 1), maps):
+            growth = g.lap_count() - 1
+            terms.append(math.log(growth) / n if growth > 1 else 0.0)
+    except ResourceError as err:
+        raise ResourceError(
+            str(err), partial=LapGrowth(tuple(terms), exact), partial_size=len(terms)
+        ) from err
     return LapGrowth(tuple(terms), exact)

@@ -12,11 +12,10 @@ from plent.blocks import unit_copy
 from plent.errors import CertificationError, InvalidFamilyError, ResourceError
 from plent.plmap import Interval
 from plent.families import appendix_pair, block_interval, parse_family, plateau_map, tent
-from plent.relation import _Lattice, param_graph, rel_power
+from plent.relation import param_graph, rel_power
 import plent.branch
 from plent.branch import (
     BranchFamily,
-    _pack,
     _unpack,
     branch_counts,
     chain,
@@ -99,7 +98,7 @@ def test_level_counts_respect_combinatorial_ceiling():
 def test_a_count_over_the_ceiling_raises_certification_error(monkeypatch):
     """A family larger than (k+1)*n^k means the recursion is broken; the
     count is refused as a certificate, with its level and size."""
-    too_many = BranchFamily(2, _Lattice(1, 1, [(0, 1, i, i + 1) for i in range(28)]))
+    too_many = BranchFamily(2, 1, 28, [(0, 1, i, i + 1) for i in range(28)])
     monkeypatch.setattr(plent.branch, "next_family", lambda base, fam, cap_arcs=None: too_many)
     with pytest.raises(CertificationError, match="exceeds") as err:
         branch_counts(tent(3), tent(2), 2)  # the ceiling at k = 2 is 3 * 3**2 = 27
@@ -199,7 +198,9 @@ def _keys_and_widths(draw):
 @settings(max_examples=500, deadline=None)
 def test_a_packed_key_unpacks_to_itself(key_and_width):
     key, width = key_and_width
-    assert _unpack(_pack(key, width), width) == key
+    fam = BranchFamily(1, width - 1, width - 1, [key])
+    (packed,) = fam._packed
+    assert _unpack(packed, fam._width) == key
 
 
 def _reference_keys(f, g, k_max):

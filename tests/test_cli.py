@@ -96,6 +96,20 @@ def test_horseshoe_not_found_exits_one(tmp_path):
     assert read_json(tmp_path, "horseshoe.json")["found"] is False
 
 
+def test_horseshoe_of_a_map_graph_and_of_its_power(tmp_path):
+    """--mode graph needs no --g, and --power 2 searches the graph of
+    T3 o T3 = T9: a 5-horseshoe, which the graph of T3 has not."""
+    graph = ["horseshoe", "--f", "tent:3", "--mode", "graph"]
+    assert run(tmp_path / "T3", *graph, "--n", "2") == 0
+    assert read_json(tmp_path / "T3", "horseshoe.json")["reverified"]
+    assert run(tmp_path / "T3-5", *graph, "--n", "5") == 1
+    assert run(tmp_path / "T3^2", *graph, "--power", "2", "--n", "5") == 0
+    assert run(tmp_path / "T9", "horseshoe", "--f", "tent:9", "--mode", "graph", "--n", "5") == 0
+    power = (tmp_path / "T3^2" / "horseshoe.json").read_bytes()
+    assert power == (tmp_path / "T9" / "horseshoe.json").read_bytes()
+    assert json.loads(power)["reverified"]
+
+
 def test_bracket_subcommand(tmp_path):
     assert run(tmp_path, "bracket", "--n", "3", "--m", "2", "--kmax", "3") == 0
     payload = read_json(tmp_path, "bracket.json")
@@ -159,6 +173,16 @@ def test_entropy_rel_subcommand(tmp_path):
     assert len(rows) == 3
 
 
+def test_entropy_rel_of_a_map_graph_power_is_that_of_the_composed_map(tmp_path):
+    args = ["entropy-rel", "--mode", "graph", "--nmax", "2"]
+    assert run(tmp_path / "T3^2", *args, "--f", "tent:3", "--power", "2") == 0
+    assert run(tmp_path / "T9", *args, "--f", "tent:9") == 0
+    assert run(tmp_path / "T3", *args, "--f", "tent:3") == 0
+    power = read_csv(tmp_path / "T3^2", "entropy_rel.csv")
+    assert power == read_csv(tmp_path / "T9", "entropy_rel.csv")
+    assert power != read_csv(tmp_path / "T3", "entropy_rel.csv")
+
+
 def test_invlim_subcommand(tmp_path):
     code = run(
         tmp_path, "invlim",
@@ -169,6 +193,16 @@ def test_invlim_subcommand(tmp_path):
     rows = read_csv(tmp_path, "invlim.csv")
     assert rows[0][0] == "n"
     assert len(rows) == 4
+
+
+def test_an_incompatible_diagonal_system_exits_one_with_a_report(tmp_path):
+    code = run(
+        tmp_path, "invlim",
+        "--system", "diag", "--f", "tent:2", "--g", "plateau", "--depth", "3", "--nmax", "2",
+    )
+    assert code == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["failure.json"]
+    assert read_json(tmp_path, "failure.json") == {"error": "incompatible diagonal system"}
 
 
 def test_invlim_diag_csv_is_pinned(tmp_path):
@@ -308,6 +342,24 @@ def test_bad_config_values_are_rejected_like_bad_flags(tmp_path, config):
     with pytest.raises(SystemExit) as exc:
         main(["branches", "--n", "3", "--m", "2", "--config", str(cfg), "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text", [None, "{bad", "[1,2]"], ids=["missing", "invalid-json", "not-an-object"]
+)
+def test_a_broken_config_file_is_a_usage_error(tmp_path, text, capsys):
+    """A config file that is missing, is not JSON or is not a JSON object
+    exits 2 with a message on stderr and writes no failure.json, like a bad
+    value inside the file."""
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["branches", "--n", "3", "--m", "2", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "config file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failures_produce_report_and_exit_two(tmp_path):

@@ -1036,7 +1036,6 @@ def test_bracket_certificates_are_unchanged(n, m, k, digest):
 
 
 def test_bracket_builds_each_power_from_the_previous_one(monkeypatch):
-    import plent.entropy
     import plent.plmap
 
     calls = []
@@ -1045,9 +1044,8 @@ def test_bracket_builds_each_power_from_the_previous_one(monkeypatch):
         calls.append(len(g.breakpoints))
         return compose(f, g, cap_breakpoints=cap_breakpoints)
 
-    # every name a power could reach compose through; relation's own
-    # binding serves the strong-commutation check, not the powers
-    monkeypatch.setattr(plent.entropy, "compose", counting_compose)
+    # the one name a power reaches compose through, `_iterates`' own;
+    # relation's binding serves the strong-commutation check, not the powers
     monkeypatch.setattr(plent.plmap, "compose", counting_compose)
     bracket_theorem_main(3, 2, 6)
     assert len(calls) == 2 * (6 - 1)

@@ -7,16 +7,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plent.errors import DomainError, ResourceError
+from plent.errors import CompositionError, DomainError, ResourceError
 from plent.plmap import (
     Bound,
     Interval,
     PLMap,
     UNIT,
+    _iterates,
     _on_curve,
     _on_lattice,
     _pieces,
     _sweep,
+    as_rat,
     at_most,
     compose,
     constant_map,
@@ -141,6 +143,30 @@ def test_iterate_lap_counts_multiply_for_tents():
     t3 = tent(3)
     assert iterate(t3, 2).lap_count() == 9
     assert iterate(t3, 3).lap_count() == 27
+
+
+def test_iterate_is_the_chain_of_compositions():
+    t3, fk = tent(3), tent(3)
+    for k in range(1, 5):
+        assert iterate(t3, k) == fk
+        fk = compose(t3, fk)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        iterate(t3, 0)
+
+
+def test_every_iterate_checks_for_a_self_map_when_called():
+    half = PLMap([(0, 0), (F(1, 2), 1)])  # [0, 1/2] onto [0, 1]
+    calls = [lambda: iterate(half, 1), lambda: entropy_lap_growth(half, 2), lambda: _iterates(half)]
+    for call in calls:
+        with pytest.raises(CompositionError, match="into itself"):
+            call()
+
+
+def test_as_rat_refuses_a_float():
+    with pytest.raises(TypeError, match="inexact float"):
+        as_rat(0.5)
+    with pytest.raises(TypeError, match="inexact float"):
+        PLMap([(0.0, 0), (1, 1)])
 
 
 def test_identity_is_neutral_for_composition():

@@ -75,3 +75,20 @@ def test_dumps_is_deterministic_json():
 def test_malformed_relation_is_rejected():
     with pytest.raises(ParseError):
         relation_from_json({"arcs": [{"direction": "diag"}]})
+
+
+@pytest.mark.parametrize(
+    "read, obj, message",
+    [
+        (plmap_from_json, [], "expected an object with 'breakpoints'"),
+        (plmap_from_json, {"breakpoints": [5]}, r"breakpoints\[0\]: expected \[x, y\]"),
+        (plmap_from_json, {"breakpoints": [[["0", "1"], ["0", "1"]]]}, "at least two breakpoints"),
+        (arc_from_json, {"kind": "inc"}, "expected an arc object with 'direction'"),
+        (arc_from_json, {"direction": "ver", "dom": []}, "malformed vertical arc"),
+        (arc_from_json, {"direction": "inc", "homeo": plmap_to_json(tent(2))}, "not monotone"),
+        (relation_from_json, {"arc": []}, "expected an object with 'arcs'"),
+    ],
+)
+def test_each_malformed_reader_input_is_a_parse_error(read, obj, message):
+    with pytest.raises(ParseError, match=message):
+        read(obj)
